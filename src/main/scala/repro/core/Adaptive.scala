@@ -58,17 +58,12 @@ object Adaptive {
           case (Left(p), Search.Tgt) =>
             (space.host(p), p.dist(pt), start)
           case (Left(p), Search.D(d)) =>
-            val h       = space.host(p)
-            val entered = space.linksFrom((h, d)).map(_.to).min
-            (h, space.pointToDoor(p, d), Right((d, entered)): Either[Point, (Int, Int)])
+            val h = space.host(p)
+            (h, space.pointToDoor(p, d), Right((d, space.enteredVia(h, d))): Either[Point, (Int, Int)])
           case (Right((dCur, _)), Search.Tgt) =>
             (hostT, space.doors(dCur).pos.dist(pt), start)
           case (Right((dCur, vIn)), Search.D(d2)) =>
-            val entered = space.linksFrom((vIn, d2)).map(_.to).filter(_ != vIn) match {
-              case Seq()   => space.linksFrom((vIn, d2)).map(_.to).min
-              case nonSelf => nonSelf.min
-            }
-            (vIn, space.doorDist(vIn, dCur, d2), Right((d2, entered)): Either[Point, (Int, Int)])
+            (vIn, space.doorDist(vIn, dCur, d2), Right((d2, space.enteredVia(vIn, d2))): Either[Point, (Int, Int)])
           case (_, Search.Src) => sys.error("search returned Src as successor")
         }
         val realized = CostFunctions.segmentCost(model, vk, dist, sim.populationAt(vk, gNow))

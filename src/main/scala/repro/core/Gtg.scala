@@ -2,7 +2,6 @@ package repro.core
 
 import repro.estimator.PopulationEstimator
 import repro.indoor.Point
-import scala.collection.mutable
 
 /** Baseline `*PQ-GTG`: search over a *general time-dependent graph* where
   * doors are vertices and every intra-partition door-to-door hop is an edge
@@ -29,7 +28,6 @@ object Gtg {
     val t0ns  = System.nanoTime()
     val model = estimator.model
     val space = model.space
-    val ord   = Cost.ordering(qt)
 
     // Materialize the GTG adjacency: door -> (nextDoor, viaPartition, dist).
     val adj = Array.fill(space.numDoors)(Vector.empty[(Int, Int, Double)])
@@ -45,74 +43,35 @@ object Gtg {
     val hostS = space.host(ps)
     val hostT = space.host(pt)
 
-    // `via` is the partition crossed to reach the node: the next edge must
-    // not cross it again (one does not U-turn mid-partition), matching the
-    // crowd-model search's "enterable partition minus previous partition".
-    final case class Stamp(node: Search.Node, cost: Cost, via: Int)
-    implicit val stampOrd: Ordering[Stamp] = Ordering.by[Stamp, Cost](_.cost)(ord).reverse
-    val queue   = mutable.PriorityQueue.empty[Stamp]
-    val best    = mutable.HashMap.empty[Search.Node, Cost]
-    val prev    = mutable.HashMap.empty[Search.Node, Search.Node]
-    val settled = mutable.HashSet.empty[Search.Node]
-    var pushes  = 0L
-    var peak    = 0
+    def seg(vk: Int, dist: Double, g: Int): Option[Cost] = Search.segmentCost(estimator, vk, dist, g)
 
-    def push(node: Search.Node, cost: Cost, from: Search.Node, via: Int): Unit =
-      if (best.get(node).forall(b => ord.lt(cost, b))) {
-        best(node) = cost; prev(node) = from
-        queue.enqueue(Stamp(node, cost, via)); pushes += 1; peak = math.max(peak, queue.size)
-      }
-
-    def seg(vk: Int, dist: Double, g: Int): Option[Cost] =
-      if (!dist.isFinite) None
-      else Some(CostFunctions.segmentCost(model, vk, dist, estimator.populationAt(vk, g)))
-
-    def stats(): Search.Stats = {
-      val s = Search.Stats(
-        (System.nanoTime() - t0ns) / 1e6,
-        estimator.state.popDerivations,
-        estimator.state.flowDerivations,
-        // the materialized GTG adjacency is retained for the whole query —
-        // charge it to the memory metric alongside the stamps
-        pushes + gtgEdges / 3,
-        peak,
-        settled.size,
-      )
-      s
-    }
-
-    push(Search.Src, Cost.Zero, Search.Src, -1)
-    var result: Option[Search.Result] = None
-    while (result.isEmpty && queue.nonEmpty) {
-      val s = queue.dequeue()
-      if (!settled.contains(s.node)) {
-        settled += s.node
-        val g = math.min(maxGrid, model.gridStep(tq + s.cost.time))
-        s.node match {
-          case Search.Tgt =>
-            val pathBuf = mutable.ListBuffer.empty[Search.Node]
-            var cur: Search.Node = Search.Tgt
-            while (cur != Search.Src) { pathBuf.prepend(cur); cur = prev(cur) }
-            pathBuf.prepend(Search.Src)
-            result = Some(Search.Result(pathBuf.toVector, s.cost, found = true, stats()))
-          case Search.Src =>
-            if (hostS == hostT)
-              seg(hostS, ps.dist(pt), g).foreach(c => push(Search.Tgt, c, Search.Src, hostS))
-            space.allDoors(hostS).foreach { dj =>
-              seg(hostS, space.pointToDoor(ps, dj), g).foreach(c => push(Search.D(dj), c, Search.Src, hostS))
-            }
-          case Search.D(di) =>
-            if (space.allDoors(hostT).contains(di))
-              seg(hostT, space.doors(di).pos.dist(pt), g)
-                .foreach(c => push(Search.Tgt, s.cost + c, s.node, hostT))
-            adj(di).foreach { case (dj, v, dist) =>
-              if (v != s.via && !settled.contains(Search.D(dj)))
-                seg(v, dist, g).foreach(c => push(Search.D(dj), s.cost + c, s.node, v))
-            }
+    // A label carries the partition crossed to reach its node: the next edge
+    // must not cross it again (one does not U-turn mid-partition), matching
+    // the crowd-model search's "enterable partition minus previous partition".
+    val ls = new LabelSetting[Cost](space.numDoors)(Cost.ordering(qt))
+    ls.push(ls.src, Cost.Zero, ls.src, -1)
+    val reached = ls.run { s =>
+      val g = math.min(maxGrid, model.gridStep(tq + s.cost.time))
+      if (s.node == ls.src) {
+        if (hostS == hostT)
+          seg(hostS, ps.dist(pt), g).foreach(c => ls.push(ls.tgt, c, ls.src, hostS))
+        space.allDoors(hostS).foreach { dj =>
+          seg(hostS, space.pointToDoor(ps, dj), g).foreach(c => ls.push(dj, c, ls.src, hostS))
+        }
+      } else {
+        val di = s.node
+        if (space.allDoors(hostT).contains(di))
+          seg(hostT, space.doors(di).pos.dist(pt), g).foreach(c => ls.push(ls.tgt, s.cost + c, di, hostT))
+        adj(di).foreach { case (dj, v, dist) =>
+          if (v != s.aux && !ls.isSettled(dj))
+            seg(v, dist, g).foreach(c => ls.push(dj, s.cost + c, di, v))
         }
       }
     }
-    result.getOrElse(
-      Search.Result(Vector.empty, Cost(Double.PositiveInfinity, Double.PositiveInfinity, Double.PositiveInfinity), found = false, stats()))
+    // the materialized GTG adjacency is retained for the whole query —
+    // charge it to the memory metric alongside the labels
+    val stats = Search.Stats((System.nanoTime() - t0ns) / 1e6, estimator.state.popDerivations,
+      estimator.state.flowDerivations, ls.pushes + gtgEdges / 3, ls.queuePeak, ls.settled)
+    Search.result(ls, reached, stats)
   }
 }

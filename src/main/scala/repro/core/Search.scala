@@ -3,7 +3,6 @@ package repro.core
 import repro.crowd.{CrowdModel, ModelState}
 import repro.estimator.PopulationEstimator
 import repro.indoor.Point
-import scala.collection.mutable
 
 /** Unified crowd-aware path search — Algorithm 3 (Search) + Algorithm 4
   * (Expand). Handles both FPQ and LCPQ via the [[Cost]] ordering, and any
@@ -11,12 +10,13 @@ import scala.collection.mutable
   * (exact local = `*PQ`, exact global = `*PQ-G`, PP = `*PQ-PP`, NT =
   * `*PQ-NT`).
   *
-  * Search nodes are doors plus the two virtual endpoints. Each stamp carries
-  * the partition entered through its door (Alg. 3 line 13) so the next
-  * expansion knows which partition to traverse. Populations are derived
-  * lazily: a segment's cost at arrival time `t^a` reads the population over
-  * the grid interval covering `t^a`, and the estimator derives (and
-  * memoizes) everything that lookup needs — this is Alg. 3 lines 15–18.
+  * Search nodes are doors plus the two virtual endpoints, settled by the
+  * shared [[LabelSetting]] core. Each label carries the partition entered
+  * through its door (Alg. 3 line 13) so the next expansion knows which
+  * partition to traverse. Populations are derived lazily: a segment's cost
+  * at arrival time `t^a` reads the population over the grid interval
+  * covering `t^a`, and the estimator derives (and memoizes) everything that
+  * lookup needs — this is Alg. 3 lines 15–18.
   */
 object Search {
 
@@ -50,8 +50,6 @@ object Search {
     def doorSeq: Vector[Int] = path.collect { case D(d) => d }
   }
 
-  private final case class Stamp(node: Node, cost: Cost, entered: Int)
-
   /** Run the search from an indoor point. `maxGrid` caps how far populations
     * are derived (the horizon); `tq` is the query time (absolute, ≥ model.t0).
     */
@@ -80,88 +78,61 @@ object Search {
     val model: CrowdModel = estimator.model
     val state: ModelState = estimator.state
     val space           = model.space
-    val ord             = Cost.ordering(qt)
-    implicit val stampOrd: Ordering[Stamp] = Ordering.by[Stamp, Cost](_.cost)(ord).reverse
+    val ls              = new LabelSetting[Cost](space.numDoors)(Cost.ordering(qt))
 
     val hostT = space.host(pt)
     // For a door start, hostS is unused; -1 marks "not a point start".
     val hostS = start.fold(space.host, _ => -1)
 
-    val queue   = mutable.PriorityQueue.empty[Stamp]
-    val best    = mutable.HashMap.empty[Node, Cost]
-    val prev    = mutable.HashMap.empty[Node, Node]
-    val settled = mutable.HashSet.empty[Node]
-    var pushes  = 0L
-    var peak    = 0
-
-    def push(s: Stamp, from: Node): Unit = {
-      if (best.get(s.node).forall(b => ord.lt(s.cost, b))) {
-        best(s.node) = s.cost
-        prev(s.node) = from
-        queue.enqueue(s)
-        pushes += 1
-        peak = math.max(peak, queue.size)
-      }
-    }
-
-    def segCost(vk: Int, dist: Double, arrivalG: Int): Option[Cost] =
-      if (!dist.isFinite) None
-      else Some(CostFunctions.segmentCost(model, vk, dist, estimator.populationAt(vk, arrivalG)))
-
-    def stats(): Stats =
-      Stats((System.nanoTime() - t0ns) / 1e6, state.popDerivations, state.flowDerivations, pushes, peak, settled.size)
+    def segCost(vk: Int, dist: Double, arrivalG: Int): Option[Cost] = segmentCost(estimator, vk, dist, arrivalG)
 
     start match {
-      case Left(_)             => push(Stamp(Src, Cost.Zero, hostS), Src)
-      case Right((door, vIn))  => push(Stamp(D(door), Cost.Zero, vIn), Src)
+      case Left(_)            => ls.push(ls.src, Cost.Zero, ls.src, hostS)
+      case Right((door, vIn)) => ls.push(door, Cost.Zero, ls.src, vIn)
     }
-
-    var result: Option[Result] = None
-    while (result.isEmpty && queue.nonEmpty) {
-      val s = queue.dequeue()
-      if (!settled.contains(s.node)) {
-        settled += s.node
-        if (s.node == Tgt) {
-          // GetPath: walk prev from Tgt back to Src
-          val pathBuf = mutable.ListBuffer.empty[Node]
-          var cur: Node = Tgt
-          while (cur != Src) { pathBuf.prepend(cur); cur = prev(cur) }
-          pathBuf.prepend(Src)
-          result = Some(Result(pathBuf.toVector, s.cost, found = true, stats()))
-        } else {
-          val arrivalG = math.min(maxGrid, model.gridStep(tq + s.cost.time))
-          s.node match {
-            case Src =>
-              val ps = start.swap.getOrElse(sys.error("Src stamp without a point start"))
-              if (hostS == hostT)
-                segCost(hostS, ps.dist(pt), arrivalG).foreach(c => push(Stamp(Tgt, c, hostT), Src))
-              space.leaveDoors(hostS).foreach { dj =>
-                val entered = space.linksFrom((hostS, dj)).map(_.to).min
-                segCost(hostS, space.pointToDoor(ps, dj), arrivalG)
-                  .foreach(c => push(Stamp(D(dj), c, entered), Src))
-              }
-            case D(di) =>
-              val v = s.entered
-              // Alg. 3 lines 19–20: expansion towards p_t when d_i can enter its host
-              if (space.enterDoors(hostT).contains(di))
-                segCost(hostT, space.doors(di).pos.dist(pt), arrivalG)
-                  .foreach(c => push(Stamp(Tgt, s.cost + c, hostT), s.node))
-              // Alg. 3 lines 21–22: every unvisited leaveable door of v
-              space.leaveDoors(v).foreach { dj =>
-                if (!settled.contains(D(dj))) {
-                  val entered = space.linksFrom((v, dj)).map(_.to).filter(_ != v) match {
-                    case Seq()   => space.linksFrom((v, dj)).map(_.to).min
-                    case nonSelf => nonSelf.min
-                  }
-                  segCost(v, space.doorDist(v, di, dj), arrivalG)
-                    .foreach(c => push(Stamp(D(dj), s.cost + c, entered), s.node))
-                }
-              }
-            case Tgt => () // handled above
-          }
+    val reached = ls.run { s =>
+      val arrivalG = math.min(maxGrid, model.gridStep(tq + s.cost.time))
+      if (s.node == ls.src) {
+        val ps = start.swap.getOrElse(sys.error("Src label without a point start"))
+        if (hostS == hostT)
+          segCost(hostS, ps.dist(pt), arrivalG).foreach(c => ls.push(ls.tgt, c, ls.src, hostT))
+        space.leaveDoors(hostS).foreach { dj =>
+          segCost(hostS, space.pointToDoor(ps, dj), arrivalG)
+            .foreach(c => ls.push(dj, c, ls.src, space.enteredVia(hostS, dj)))
+        }
+      } else {
+        val (di, v) = (s.node, s.aux)
+        // Alg. 3 lines 19–20: expansion towards p_t when d_i can enter its host
+        if (space.enterDoors(hostT).contains(di))
+          segCost(hostT, space.doors(di).pos.dist(pt), arrivalG)
+            .foreach(c => ls.push(ls.tgt, s.cost + c, di, hostT))
+        // Alg. 3 lines 21–22: every unvisited leaveable door of v
+        space.leaveDoors(v).foreach { dj =>
+          if (!ls.isSettled(dj))
+            segCost(v, space.doorDist(v, di, dj), arrivalG)
+              .foreach(c => ls.push(dj, s.cost + c, di, space.enteredVia(v, dj)))
         }
       }
     }
-    result.getOrElse(Result(Vector.empty, Cost(Double.PositiveInfinity, Double.PositiveInfinity, Double.PositiveInfinity), found = false, stats()))
+    val stats = Stats((System.nanoTime() - t0ns) / 1e6, state.popDerivations, state.flowDerivations,
+      ls.pushes, ls.queuePeak, ls.settled)
+    result(ls, reached, stats)
   }
+
+  /** Cost of a segment of length `dist` through partition `vk` entered at
+    * grid step `g`; None for an untraversable (infinite) segment.
+    */
+  private[core] def segmentCost(estimator: PopulationEstimator, vk: Int, dist: Double, g: Int): Option[Cost] =
+    if (!dist.isFinite) None
+    else Some(CostFunctions.segmentCost(estimator.model, vk, dist, estimator.populationAt(vk, g)))
+
+  /** The search's answer: the path through `ls` to Tgt when it was reached. */
+  private[core] def result(ls: LabelSetting[Cost], reached: Option[LabelSetting.Label[Cost]], stats: Stats): Result =
+    reached match {
+      case Some(t) =>
+        val path = ls.path(ls.tgt).map(n => if (n == ls.src) Src else if (n == ls.tgt) Tgt else D(n))
+        Result(path, t.cost, found = true, stats)
+      case None =>
+        Result(Vector.empty, Cost(Double.PositiveInfinity, Double.PositiveInfinity, Double.PositiveInfinity), found = false, stats)
+    }
 }

@@ -79,11 +79,11 @@ final class CrowdModel(
 
   /** Number of update timestamps of partition v in grid steps (gFrom, gTo]
     * — `|{t ∈ UT(v_k) | t_l < t ≤ t^a}|` of Eq. 7. UT(v) is the union of
-    * v's doors' report timestamps.
+    * v's doors' report timestamps, in the same phase as [[doorReportsAt]].
     */
   def updateStepsBetween(v: Int, gFrom: Int, gTo: Int): Int = {
     val periods = space.allDoors(v).map(reportEvery)
-    ((gFrom + 1) to gTo).count(g => periods.exists(p => g % p == 0))
+    ((gFrom + 1 + gridOffset) to (gTo + gridOffset)).count(g => periods.exists(p => g % p == 0))
   }
 
   /** Mean and std-dev of v's historical flow differences (Strategy NT). */

@@ -1,7 +1,7 @@
 package repro.exp
 
+import repro.core.LabelSetting
 import repro.indoor.{IndoorSpace, Point}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Query-instance generation (Section 6.1.1): pairs (p_s, p_t) whose
@@ -17,37 +17,24 @@ object Instances {
     * crowd-aware search uses, with ρ ≡ const).
     */
   def doorDistances(space: IndoorSpace, ps: Point): Array[Double] = {
-    val dist = Array.fill(space.numDoors)(Double.PositiveInfinity)
-    final case class St(door: Int, entered: Int, d: Double)
-    val queue   = mutable.PriorityQueue.empty[St](Ordering.by[St, Double](_.d).reverse)
-    val settled = mutable.HashSet.empty[Int]
-    val hostS   = space.host(ps)
-    space.leaveDoors(hostS).foreach { dj =>
-      val d = space.pointToDoor(ps, dj)
-      if (d < dist(dj)) {
-        dist(dj) = d
-        queue.enqueue(St(dj, space.linksFrom((hostS, dj)).map(_.to).min, d))
-      }
-    }
-    while (queue.nonEmpty) {
-      val s = queue.dequeue()
-      if (settled.add(s.door)) {
-        space.leaveDoors(s.entered).foreach { dj =>
-          if (!settled.contains(dj)) {
-            val nd = s.d + space.doorDist(s.entered, s.door, dj)
-            if (nd < dist(dj)) {
-              dist(dj) = nd
-              val entered = space.linksFrom((s.entered, dj)).map(_.to).filter(_ != s.entered) match {
-                case Seq()   => space.linksFrom((s.entered, dj)).map(_.to).min
-                case nonSelf => nonSelf.min
-              }
-              queue.enqueue(St(dj, entered, nd))
-            }
+    // labels are ordered by distance alone and carry the partition entered
+    val ls    = new LabelSetting[Double](space.numDoors)
+    val hostS = space.host(ps)
+    ls.push(ls.src, 0.0, ls.src, hostS)
+    ls.run { s =>
+      if (s.node == ls.src)
+        space.leaveDoors(hostS).foreach { dj =>
+          ls.push(dj, space.pointToDoor(ps, dj), ls.src, space.enteredVia(hostS, dj))
+        }
+      else
+        space.leaveDoors(s.aux).foreach { dj =>
+          if (!ls.isSettled(dj)) {
+            val nd = s.cost + space.doorDist(s.aux, s.node, dj)
+            if (nd.isFinite) ls.push(dj, nd, s.node, space.enteredVia(s.aux, dj))
           }
         }
-      }
     }
-    dist
+    Array.tabulate(space.numDoors)(ls.best(_).getOrElse(Double.PositiveInfinity))
   }
 
   /** Generate `n` query instances with source-target distance ≈ s2t. */

@@ -1,5 +1,7 @@
 package repro.indoor
 
+import scala.collection.mutable
+
 /** Crowd type of a partition: Q-partitions force FIFO queueing, R-partitions
   * let objects move freely (Definition 1 in the paper).
   */
@@ -56,6 +58,13 @@ final class IndoorSpace(
   val numPartitions: Int = partitions.size
   val numDoors: Int      = doors.size
 
+  links.foreach { l =>
+    require(l.from >= 0 && l.from < numPartitions, s"bad link from ${l.from}")
+    require(l.to >= 0 && l.to < numPartitions, s"bad link to ${l.to}")
+    require(l.door >= 0 && l.door < numDoors, s"bad link door ${l.door}")
+    require(l.from != l.to, s"self-loop link $l")
+  }
+
   /** D2P⊢(d): partitions one can ENTER through door d. */
   val enterableThrough: IndexedSeq[Set[Int]] = {
     val a = Array.fill(numDoors)(Set.empty[Int])
@@ -93,6 +102,22 @@ final class IndoorSpace(
     */
   val linksFrom: Map[(Int, Int), Vector[DoorLink]] =
     links.groupBy(l => (l.from, l.door)).view.mapValues(_.toVector).toMap
+
+  // keyed by from · numDoors + door
+  private val entered: mutable.LongMap[Int] = {
+    val m = mutable.LongMap.empty[Int]
+    links.foreach { l =>
+      val k = l.from.toLong * numDoors + l.door
+      m(k) = math.min(m.getOrElse(k, l.to), l.to)
+    }
+    m
+  }
+
+  /** The partition entered when leaving partition v through door d: the
+    * smallest `to` among the links leaving v through d. Links are never
+    * self-loops, so this is never v itself.
+    */
+  def enteredVia(v: Int, d: Int): Int = entered(v.toLong * numDoors + d)
 
   /** Outgoing links per partition: edges e(v_i, v_j, d_k) of the crowd model. */
   val outLinks: IndexedSeq[Vector[DoorLink]] = {
@@ -139,16 +164,11 @@ final class IndoorSpace(
       .map(_.id)
       .getOrElse(throw new IllegalArgumentException(s"point $p is in no partition"))
 
-  /** Structural sanity — used by tests and at generator boundaries. */
-  def validate(): Unit = {
-    links.foreach { l =>
-      require(l.from >= 0 && l.from < numPartitions, s"bad link from ${l.from}")
-      require(l.to >= 0 && l.to < numPartitions, s"bad link to ${l.to}")
-      require(l.door >= 0 && l.door < numDoors, s"bad link door ${l.door}")
-      require(l.from != l.to, s"self-loop link $l")
-    }
+  /** Structural sanity beyond the constructor's link checks: no orphan
+    * doors. Used by tests and at generator boundaries.
+    */
+  def validate(): Unit =
     (0 until numDoors).foreach { d =>
       require(enterableThrough(d).nonEmpty || leaveableThrough(d).nonEmpty, s"orphan door $d")
     }
-  }
 }

@@ -58,11 +58,15 @@ class CrowdModelSpec extends AnyFunSuite {
   }
 
   test("updateStepsBetween counts the union of the partition doors' reports") {
-    val v       = 0
-    val periods = space.allDoors(v).map(model.reportEvery)
-    val manual  = (1 to 30).count(g => periods.exists(p => g % p == 0))
-    assert(model.updateStepsBetween(v, 0, 30) == manual)
-    assert(model.updateStepsBetween(v, 0, 0) == 0)
+    // a re-synchronized model of the Table-3 office: report phases are shifted
+    val office  = SynthFloorplan.office(5, seed = 1)
+    val table3  = CrowdModel.synthetic(office, objScale = 900, ti = 10, seed = 1)
+    val shifted = table3.withObservation(table3.initialPop, 3)
+    for (m <- Seq(model, shifted); v <- 0 until m.space.numPartitions) {
+      val manual = (1 to 30).count(g => m.space.allDoors(v).exists(d => m.doorReportsAt(d, g)))
+      assert(m.updateStepsBetween(v, 0, 30) == manual, s"v=$v gridOffset=${m.gridOffset}")
+      assert(m.updateStepsBetween(v, 0, 0) == 0)
+    }
   }
 
   test("historyStats computes mean and stddev of the net-flow history") {

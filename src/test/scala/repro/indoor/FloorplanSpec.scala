@@ -50,6 +50,25 @@ class FloorplanSpec extends AnyFunSuite {
     office5.validate(); mall.validate(); mini().validate()
   }
 
+  test("a self-loop link is rejected at construction") {
+    val l = office1.links.head
+    intercept[IllegalArgumentException] {
+      new IndoorSpace(office1.partitions, office1.doors, office1.links :+ DoorLink(l.door, l.from, l.from),
+        office1.d2dOverride)
+    }
+  }
+
+  test("enteredVia is the smallest partition other than v that the links from v through d enter") {
+    for (space <- Seq(office5, mall); v <- 0 until space.numPartitions; d <- space.leaveDoors(v)) {
+      val tos = space.linksFrom((v, d)).map(_.to)
+      val expected = tos.filter(_ != v) match {
+        case Seq()   => tos.min
+        case nonSelf => nonSelf.min
+      }
+      assert(space.enteredVia(v, d) == expected, s"v=$v d=$d")
+    }
+  }
+
   test("all doors are bidirectional in generated spaces") {
     for (space <- Seq(office1, mall)) {
       val byDoor = space.links.groupBy(_.door)

@@ -46,8 +46,20 @@ final class CrowdModel(
   require(reportEvery.size == space.numDoors)
   require(initialPop.size == space.numPartitions)
   require(historyNet.size == space.numPartitions)
+  require(lambda.valuesIterator.forall(finiteNonNegative), "every λ must be finite and ≥ 0")
+  require(reportEvery.forall(_ >= 1), "every report period must be ≥ 1 grid step")
+  require(ti > 0, s"grid step ti must be > 0, got $ti")
+  require(initialPop.forall(finiteNonNegative), "every initial population must be finite and ≥ 0")
 
+  private def finiteNonNegative(x: Double): Boolean = x >= 0 && x < Double.PositiveInfinity
+
+  /** The edges in `space.links` order: an edge's index is its link index. */
   val edges: Vector[EdgeKey] = space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
+
+  private val rates: Array[Double] = edges.iterator.map(lambda.getOrElse(_, 0.0)).toArray
+
+  /** λ of edge `ei` (0 if the model has no rate for it). */
+  def rate(ei: Int): Double = rates(ei)
 
   /** t_c ∈ RT(d_k)? — whether door `d` reports at grid step `g`. Step 0 is
     * the aligned initial report of every counter; flows are applied from
@@ -63,9 +75,9 @@ final class CrowdModel(
     new CrowdModel(space, lambda, reportEvery, ti, gridTime(gNow), observedPop, historyNet,
       speed, bufferW, beta, gridOffset + gNow)
 
-  /** Expected flow on edge `e` at grid step `g` (0 between reports). */
-  def expectedFlow(e: EdgeKey, g: Int): Double =
-    if (doorReportsAt(e.door, g)) lambda.getOrElse(e, 0.0) else 0.0
+  /** Expected flow on edge `ei` at grid step `g` (0 between reports). */
+  def expectedFlow(ei: Int, g: Int): Double =
+    if (doorReportsAt(space.links(ei).door, g)) rates(ei) else 0.0
 
   /** Grid step whose unit interval covers absolute time `t` (≥ t0). */
   def gridStep(t: Double): Int = math.max(0, ((t - t0) / ti).toInt)
@@ -121,18 +133,18 @@ object CrowdModel {
       val p = space.partitions(v)
       p.isStairway || p.rect.area > 0 && p.rect.height <= 30 // corridor cells are the short rows
     }
-    val lambda = space.links.map { l =>
-      val hot  = isHallway(l.from) && isHallway(l.to)
-      val lam  = if (hot) 1.0 + rng.nextDouble() * (lambdaMax - 1.0) else rng.nextDouble() * 1.2
-      EdgeKey(l.from, l.to, l.door) -> lam
-    }.toMap
+    val lam = space.links.map { l =>
+      val hot = isHallway(l.from) && isHallway(l.to)
+      if (hot) 1.0 + rng.nextDouble() * (lambdaMax - 1.0) else rng.nextDouble() * 1.2
+    }
+    val lambda      = space.links.iterator.zip(lam).map { case (l, x) => EdgeKey(l.from, l.to, l.door) -> x }.toMap
     val reportEvery = IndexedSeq.fill(space.numDoors)(1 + rng.nextInt(5))
     val initialPop = (0 until space.numPartitions).map { v =>
       math.min(rng.nextDouble() * objScale, space.partitions(v).area * 1.0)
     }
     // historical net flows: seeded Poisson draws of each partition's in/out rates
-    val inRate  = (0 until space.numPartitions).map(v => space.inLinks(v).map(l => lambda(EdgeKey(l.from, l.to, l.door))).sum)
-    val outRate = (0 until space.numPartitions).map(v => space.outLinks(v).map(l => lambda(EdgeKey(l.from, l.to, l.door))).sum)
+    val inRate  = (0 until space.numPartitions).map(v => space.inLinkIds(v).map(lam).sum)
+    val outRate = (0 until space.numPartitions).map(v => space.outLinkIds(v).map(lam).sum)
     val historyNet = (0 until space.numPartitions).map { v =>
       Vector.fill(histLen)(
         DoorFlow.samplePoisson(inRate(v), rng).toDouble - DoorFlow.samplePoisson(outRate(v), rng).toDouble
@@ -149,11 +161,11 @@ object CrowdModel {
   * immutable and shared.
   *
   * Storage is `LongMap`-backed with packed (id, step) keys — this state is
-  * the hot path of every estimator, so boxing-free lookups matter.
+  * the hot path of every estimator, so boxing-free lookups matter. Edges are
+  * addressed by their index in `model.edges`.
   */
 final class ModelState(val model: CrowdModel) {
-  private val edgeIdx: Map[EdgeKey, Int] =
-    model.edges.iterator.zipWithIndex.toMap
+  private val space = model.space
   /** Packed key: id in the high bits, grid step (< 2^20) in the low. */
   @inline private def key(id: Int, g: Int): Long = (id.toLong << 20) | g.toLong
 
@@ -167,16 +179,13 @@ final class ModelState(val model: CrowdModel) {
   var popDerivations: Long  = 0
   var flowDerivations: Long = 0
 
-  def edgeIndex(e: EdgeKey): Int = edgeIdx(e)
-
-  def hasFlow(ei: Int, g: Int): Boolean       = flowMap.contains(key(ei, g))
-  def getFlowRaw(ei: Int, g: Int): Double     = flowMap(key(ei, g))
-  def putFlowRaw(ei: Int, g: Int, value: Double): Unit = {
+  def hasFlow(ei: Int, g: Int): Boolean         = flowMap.contains(key(ei, g))
+  def getFlowRaw(ei: Int, g: Int): Double       = flowMap(key(ei, g))
+  def getFlow(ei: Int, g: Int): Option[Double]  = flowMap.get(key(ei, g))
+  def putFlow(ei: Int, g: Int, value: Double): Unit = {
     flowMap(key(ei, g)) = value
     flowDerivations += 1
   }
-  def getFlow(e: EdgeKey, g: Int): Option[Double] = flowMap.get(key(edgeIdx(e), g))
-  def putFlow(e: EdgeKey, g: Int, value: Double): Unit = putFlowRaw(edgeIdx(e), g, value)
 
   def hasPop(v: Int, g: Int): Boolean   = popMap.contains(key(v, g))
   def getPopRaw(v: Int, g: Int): Double = popMap(key(v, g))
@@ -192,4 +201,45 @@ final class ModelState(val model: CrowdModel) {
     if (outDoneSet.contains(k)) false
     else { outDoneSet(k) = true; true }
   }
+
+  /** Figure 4 for partition v at step g: scales v's outflows, all already
+    * set, down to its previous population `pPrev` when they exceed it.
+    */
+  def rectifyOut(v: Int, g: Int, pPrev: Double): Unit = {
+    val outs = space.outLinkIds(v)
+    val s    = ModelState.scale(pPrev, sumFlows(outs, g))
+    if (s != 1.0) {
+      var i = 0
+      while (i < outs.length) { putFlow(outs(i), g, getFlowRaw(outs(i), g) * s); i += 1 }
+    }
+  }
+
+  /** Eq. 6 for partition v at step g from its rectified out- and inflows. */
+  def applyEq6(v: Int, g: Int, pPrev: Double): Unit =
+    putPop(v, g, ModelState.next(pPrev, sumFlows(space.outLinkIds(v), g), sumFlows(space.inLinkIds(v), g)))
+
+  // summed in link order, so every path adds the same floats in the same order
+  private def sumFlows(ids: Array[Int], g: Int): Double = {
+    var sum = 0.0
+    var i   = 0
+    while (i < ids.length) { sum += getFlowRaw(ids(i), g); i += 1 }
+    sum
+  }
+}
+
+/** The population step of Section 4, shared by every estimator, the gold
+  * simulator and the GraphX dataflow.
+  */
+object ModelState {
+
+  /** Figure 4: the factor that scales a partition's outflows `outSum` down
+    * to its population `pop` (1 when they fit).
+    */
+  def scale(pop: Double, outSum: Double): Double =
+    if (outSum > pop && outSum > 0) pop / outSum else 1.0
+
+  /** Eq. 6: next population from the previous one and the rectified
+    * out- and inflows, clamped at 0.
+    */
+  def next(pop: Double, out: Double, in: Double): Double = math.max(0.0, pop - out + in)
 }

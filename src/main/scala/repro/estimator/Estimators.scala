@@ -1,6 +1,6 @@
 package repro.estimator
 
-import repro.crowd.{CrowdModel, EdgeKey, ModelState}
+import repro.crowd.{CrowdModel, ModelState}
 import scala.collection.mutable
 
 /** A time-evolving population estimator (Section 4): given a partition and a
@@ -20,19 +20,23 @@ trait PopulationEstimator {
 }
 
 /** Algorithm 1 — PopulationGlobal. Advances the whole model one grid step at
-  * a time: assign every edge its expected flow (λ at report steps, else 0),
-  * rectify each partition's outflows against its current population
-  * (Figure 4), then apply Eq. 6 to every partition.
+  * a time: assign every edge its raw flow, rectify each partition's outflows
+  * against its current population (Figure 4), then apply Eq. 6 to every
+  * partition.
+  *
+  * @param flow raw flow of edge `ei` at step `g`: the expected flow (λ at
+  *             report steps, else 0) for the estimator; the gold simulator
+  *             passes its Poisson draws instead
   */
-final class GlobalEstimator(val state: ModelState) extends PopulationEstimator {
-  val name = "global"
-  private val space      = model.space
+final class GlobalEstimator(val state: ModelState, flow: (Int, Int) => Double) extends PopulationEstimator {
+  def this(state: ModelState) = this(state, state.model.expectedFlow)
+
+  val name                = "global"
+  private val space       = model.space
   private var derivedUpTo = 0
-  // per-partition out/in edge indices, precomputed once
-  private val outIdx: Array[Array[Int]] = Array.tabulate(space.numPartitions)(v =>
-    space.outLinks(v).map(l => state.edgeIndex(EdgeKey(l.from, l.to, l.door))).toArray)
-  private val inIdx: Array[Array[Int]] = Array.tabulate(space.numPartitions)(v =>
-    space.inLinks(v).map(l => state.edgeIndex(EdgeKey(l.from, l.to, l.door))).toArray)
+
+  /** Grid steps derived so far. */
+  def derivedSteps: Int = derivedUpTo
 
   def populationAt(v: Int, g: Int): Double = {
     if (g <= 0) return model.initialPop(v)
@@ -40,49 +44,20 @@ final class GlobalEstimator(val state: ModelState) extends PopulationEstimator {
     state.getPopRaw(v, g)
   }
 
-  private def ensure(gTarget: Int): Unit = {
-    val nEdges = model.edges.size
+  private def prevPop(v: Int, g: Int): Double =
+    if (g == 1) model.initialPop(v) else state.getPopRaw(v, g - 1)
+
+  private def ensure(gTarget: Int): Unit =
     while (derivedUpTo < gTarget) {
-      val g = derivedUpTo + 1
+      val g  = derivedUpTo + 1
       var ei = 0
-      while (ei < nEdges) {
-        state.putFlowRaw(ei, g, model.expectedFlow(model.edges(ei), g))
-        ei += 1
-      }
+      while (ei < model.edges.size) { state.putFlow(ei, g, flow(ei, g)); ei += 1 }
       var v = 0
-      while (v < space.numPartitions) {
-        val pPrev = if (g == 1) model.initialPop(v) else state.getPopRaw(v, g - 1)
-        val outs  = outIdx(v)
-        var outSum = 0.0
-        var i      = 0
-        while (i < outs.length) { outSum += state.getFlowRaw(outs(i), g); i += 1 }
-        if (outSum > pPrev && outSum > 0) {
-          val scale = pPrev / outSum
-          i = 0
-          while (i < outs.length) {
-            state.putFlowRaw(outs(i), g, state.getFlowRaw(outs(i), g) * scale); i += 1
-          }
-        }
-        state.markOutDone(v, g)
-        v += 1
-      }
+      while (v < space.numPartitions) { state.rectifyOut(v, g, prevPop(v, g)); v += 1 }
       v = 0
-      while (v < space.numPartitions) {
-        val pPrev = if (g == 1) model.initialPop(v) else state.getPopRaw(v, g - 1)
-        var outSum = 0.0
-        var i      = 0
-        val outs   = outIdx(v)
-        while (i < outs.length) { outSum += state.getFlowRaw(outs(i), g); i += 1 }
-        var inSum = 0.0
-        i = 0
-        val ins = inIdx(v)
-        while (i < ins.length) { inSum += state.getFlowRaw(ins(i), g); i += 1 }
-        state.putPop(v, g, math.max(0.0, pPrev - outSum + inSum))
-        v += 1
-      }
+      while (v < space.numPartitions) { state.applyEq6(v, g, prevPop(v, g)); v += 1 }
       derivedUpTo = g
     }
-  }
 }
 
 /** Algorithm 2 — PopulationLocal — and its Strategy-PP variant.
@@ -103,12 +78,6 @@ final class LocalEstimator(val state: ModelState, exactUpstream: Boolean) extend
   private val space = model.space
   // highest contiguously-derived step per partition — O(1) repeat lookups
   private val derivedUpTo = new Array[Int](space.numPartitions)
-  private val outIdx: Array[Array[Int]] = Array.tabulate(space.numPartitions)(v =>
-    space.outLinks(v).map(l => state.edgeIndex(EdgeKey(l.from, l.to, l.door))).toArray)
-  private val inIdx: Array[Array[Int]] = Array.tabulate(space.numPartitions)(v =>
-    space.inLinks(v).map(l => state.edgeIndex(EdgeKey(l.from, l.to, l.door))).toArray)
-  private val inSrc: Array[Array[Int]] = Array.tabulate(space.numPartitions)(v =>
-    space.inLinks(v).map(_.from).toArray)
 
   def populationAt(v: Int, g: Int): Double = {
     if (g <= 0) return model.initialPop(v)
@@ -124,50 +93,33 @@ final class LocalEstimator(val state: ModelState, exactUpstream: Boolean) extend
   private def prevPop(v: Int, g: Int): Double =
     if (g == 1) model.initialPop(v) else populationAt(v, g - 1)
 
+  /** Set from the flow functions the step-g flow of edge ei if not yet set. */
+  private def ensureFlow(ei: Int, g: Int): Unit =
+    if (!state.hasFlow(ei, g)) state.putFlow(ei, g, model.expectedFlow(ei, g))
+
   /** Set and rectify v's outflows at step g (idempotent). */
-  private def ensureOut(v: Int, g: Int): Unit = {
-    if (!state.markOutDone(v, g)) return
-    val pPrev  = prevPop(v, g)
-    val outs   = outIdx(v)
-    var outSum = 0.0
-    var i      = 0
-    while (i < outs.length) {
-      val ei = outs(i)
-      val f =
-        if (state.hasFlow(ei, g)) state.getFlowRaw(ei, g)
-        else { val x = model.expectedFlow(model.edges(ei), g); state.putFlowRaw(ei, g, x); x }
-      outSum += f
-      i += 1
+  private def ensureOut(v: Int, g: Int): Unit =
+    if (state.markOutDone(v, g)) {
+      val pPrev = prevPop(v, g)
+      val outs  = space.outLinkIds(v)
+      var i     = 0
+      while (i < outs.length) { ensureFlow(outs(i), g); i += 1 }
+      state.rectifyOut(v, g, pPrev)
     }
-    if (outSum > pPrev && outSum > 0) {
-      val scale = pPrev / outSum
-      i = 0
-      while (i < outs.length) {
-        state.putFlowRaw(outs(i), g, state.getFlowRaw(outs(i), g) * scale); i += 1
-      }
-    }
-  }
 
   private def step(v: Int, g: Int): Unit = {
     val pPrev = prevPop(v, g)
     ensureOut(v, g)
-    var inSum = 0.0
-    val ins   = inIdx(v)
-    var i     = 0
+    val ins = space.inLinkIds(v)
+    var i   = 0
     while (i < ins.length) {
       val ei = ins(i)
-      if (!state.hasFlow(ei, g)) {
-        if (exactUpstream) ensureOut(inSrc(v)(i), g) // recursion into the upstream cone
-        else state.putFlowRaw(ei, g, model.expectedFlow(model.edges(ei), g)) // Strategy PP
-      }
-      inSum += state.getFlowRaw(ei, g)
+      if (exactUpstream) {
+        if (!state.hasFlow(ei, g)) ensureOut(space.links(ei).from, g) // recursion into the upstream cone
+      } else ensureFlow(ei, g) // Strategy PP
       i += 1
     }
-    var outSum = 0.0
-    val outs   = outIdx(v)
-    i = 0
-    while (i < outs.length) { outSum += state.getFlowRaw(outs(i), g); i += 1 }
-    state.putPop(v, g, math.max(0.0, pPrev - outSum + inSum))
+    state.applyEq6(v, g, pPrev)
   }
 }
 

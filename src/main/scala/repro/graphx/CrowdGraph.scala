@@ -2,7 +2,7 @@ package repro.graphx
 
 import org.apache.spark.graphx.{Edge, Graph, VertexId}
 import org.apache.spark.sql.SparkSession
-import repro.crowd.{CrowdModel, EdgeKey}
+import repro.crowd.CrowdModel
 import repro.indoor.CrowdType
 
 /** GraphX materialization of the indoor crowd model G(V, E, L_V, L_E):
@@ -32,13 +32,10 @@ object CrowdGraph {
       }
     )
     val edges = sc.parallelize(
-      model.edges.map { e =>
-        Edge(e.from.toLong, e.to.toLong, EAttr(model.lambda.getOrElse(e, 0.0), model.reportEvery(e.door), e.door))
+      model.edges.zipWithIndex.map { case (e, ei) =>
+        Edge(e.from.toLong, e.to.toLong, EAttr(model.rate(ei), model.reportEvery(e.door), e.door))
       }
     )
     Graph(vertices, edges)
   }
-
-  /** Edge keys in model order — convenience for tests comparing flows. */
-  def edgeKeys(model: CrowdModel): Vector[EdgeKey] = model.edges
 }

@@ -2,7 +2,7 @@ package repro.graphx
 
 import org.apache.spark.graphx.{Graph, TripletFields}
 import org.apache.spark.sql.SparkSession
-import repro.crowd.CrowdModel
+import repro.crowd.{CrowdModel, ModelState}
 
 /** Algorithm 1 (PopulationGlobal) as a distributed GraphX dataflow.
   *
@@ -10,75 +10,63 @@ import repro.crowd.CrowdModel
   *
   *  1. every edge whose door reports at step g sends its expected flow λ to
   *     its *source* vertex; the sums give each partition's un-rectified
-  *     outflow, from which the per-partition rectification scale
-  *     `min(1, pop/outSum)` is derived (Figure 4's row scaling);
+  *     outflow, from which Figure 4's scale ([[ModelState.scale]]) is
+  *     derived per partition;
   *  2. every edge sends its rectified flow (λ · scale(src)) to both
-  *     endpoints — negative to the source, positive to the destination —
-  *     and Eq. 6 updates every vertex population at once.
+  *     endpoints as an (out, in) pair, and Eq. 6 ([[ModelState.next]])
+  *     updates every vertex population at once.
   *
   * Verified against the sequential [[repro.estimator.GlobalEstimator]] in
   * tests: identical populations (up to 1e-9) at every step.
   */
 object GraphXEstimator {
 
-  /** Evolve populations `steps` grid steps forward; returns the per-step
-    * population arrays (index 0 = initial).
+  /** Evolve populations `steps` grid steps forward; returns the dense
+    * timeline `pops(g)(v)` (g = 0 is the initial population) — the input to
+    * the Pregel search's time-dependent weights.
     */
-  def derive(spark: SparkSession, model: CrowdModel, steps: Int): Vector[Map[Long, Double]] = {
+  def derive(spark: SparkSession, model: CrowdModel, steps: Int): Array[Array[Double]] = {
     var graph    = CrowdGraph.build(spark, model).cache()
-    val nParts   = model.space.numPartitions
-    val timeline = Vector.newBuilder[Map[Long, Double]]
-    timeline += graph.vertices.collect().map { case (id, a) => id -> a.pop }.toMap
+    val offset   = model.gridOffset
+    val timeline = Array.newBuilder[Array[Double]]
+    def collectPops(): Unit = {
+      val pops = new Array[Double](model.space.numPartitions)
+      graph.vertices.collect().foreach { case (id, a) => pops(id.toInt) = a.pop }
+      timeline += pops
+    }
+    collectPops()
 
     for (g <- 1 to steps) {
       // round 1: expected outflow sums -> rectification scale per vertex
       val outSums = graph.aggregateMessages[Double](
-        ctx => {
-          val reports = (g + model.gridOffset) % ctx.attr.reportEvery == 0
-          if (reports) ctx.sendToSrc(ctx.attr.lambda)
-        },
+        ctx => if ((g + offset) % ctx.attr.reportEvery == 0) ctx.sendToSrc(ctx.attr.lambda),
         _ + _,
         TripletFields.EdgeOnly,
       )
       val withScale: Graph[(CrowdGraph.VAttr, Double), CrowdGraph.EAttr] =
-        graph.outerJoinVertices(outSums) { (_, attr, outOpt) =>
-          val out   = outOpt.getOrElse(0.0)
-          val scale = if (out > attr.pop && out > 0) attr.pop / out else 1.0
-          (attr, scale)
-        }
-      // round 2: rectified flows applied to both endpoints (Eq. 6)
-      val deltas = withScale.aggregateMessages[Double](
-        ctx => {
-          val reports = (g + model.gridOffset) % ctx.attr.reportEvery == 0
-          if (reports) {
+        graph.outerJoinVertices(outSums)((_, attr, out) => (attr, ModelState.scale(attr.pop, out.getOrElse(0.0))))
+      // round 2: rectified flows as (out, in) pairs -> Eq. 6
+      val flows = withScale.aggregateMessages[(Double, Double)](
+        ctx =>
+          if ((g + offset) % ctx.attr.reportEvery == 0) {
             val f = ctx.attr.lambda * ctx.srcAttr._2
-            ctx.sendToSrc(-f)
-            ctx.sendToDst(f)
-          }
-        },
-        _ + _,
+            ctx.sendToSrc((f, 0.0))
+            ctx.sendToDst((0.0, f))
+          },
+        (a, b) => (a._1 + b._1, a._2 + b._2),
         TripletFields.Src,
       )
-      val next = withScale.outerJoinVertices(deltas) { (_, va, dOpt) =>
-        CrowdGraph.VAttr(va._1.area, va._1.isQ, math.max(0.0, va._1.pop + dOpt.getOrElse(0.0)))
+      val next = withScale.outerJoinVertices(flows) { (_, va, f) =>
+        val (out, in) = f.getOrElse((0.0, 0.0))
+        va._1.copy(pop = ModelState.next(va._1.pop, out, in))
       }
       val old = graph
       graph = next.cache()
       graph.vertices.count() // materialize before unpersisting the parent
       old.unpersist(blocking = false)
-      timeline += graph.vertices.collect().map { case (id, a) => id -> a.pop }.toMap
+      collectPops()
     }
-    val result = timeline.result()
-    require(result.forall(_.size == nParts))
     graph.unpersist(blocking = false)
-    result
-  }
-
-  /** Same derivation, returned as a dense timeline `pops(g)(v)` — the input
-    * to the Pregel search's time-dependent weights.
-    */
-  def deriveDense(spark: SparkSession, model: CrowdModel, steps: Int): Array[Array[Double]] = {
-    val maps = derive(spark, model, steps)
-    maps.map(m => Array.tabulate(model.space.numPartitions)(v => m(v.toLong))).toArray
+    timeline.result()
   }
 }

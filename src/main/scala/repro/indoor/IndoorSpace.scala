@@ -58,11 +58,15 @@ final class IndoorSpace(
   val numPartitions: Int = partitions.size
   val numDoors: Int      = doors.size
 
-  links.foreach { l =>
-    require(l.from >= 0 && l.from < numPartitions, s"bad link from ${l.from}")
-    require(l.to >= 0 && l.to < numPartitions, s"bad link to ${l.to}")
-    require(l.door >= 0 && l.door < numDoors, s"bad link door ${l.door}")
-    require(l.from != l.to, s"self-loop link $l")
+  { // a duplicate (from, to, door) would silently share one λ and one F[t]
+    val seen = mutable.HashSet.empty[DoorLink]
+    links.foreach { l =>
+      require(l.from >= 0 && l.from < numPartitions, s"bad link from ${l.from}")
+      require(l.to >= 0 && l.to < numPartitions, s"bad link to ${l.to}")
+      require(l.door >= 0 && l.door < numDoors, s"bad link door ${l.door}")
+      require(l.from != l.to, s"self-loop link $l")
+      require(seen.add(l), s"duplicate link $l")
+    }
   }
 
   /** D2P⊢(d): partitions one can ENTER through door d. */
@@ -126,11 +130,16 @@ final class IndoorSpace(
     a.toIndexedSeq
   }
 
-  /** Incoming links per partition. */
-  val inLinks: IndexedSeq[Vector[DoorLink]] = {
-    val a = Array.fill(numPartitions)(Vector.empty[DoorLink])
-    links.foreach(l => a(l.to) :+= l)
-    a.toIndexedSeq
+  /** Indices into `links` of each partition's outgoing / incoming links, in
+    * link order. A link's index is its crowd-model edge index.
+    */
+  val outLinkIds: Array[Array[Int]] = linkIdsBy(_.from)
+  val inLinkIds: Array[Array[Int]]  = linkIdsBy(_.to)
+
+  private def linkIdsBy(end: DoorLink => Int): Array[Array[Int]] = {
+    val b = Array.fill(numPartitions)(Array.newBuilder[Int])
+    links.indices.foreach(i => b(end(links(i))) += i)
+    b.map(_.result())
   }
 
   /** Intra-partition walking distance between two doors of partition v

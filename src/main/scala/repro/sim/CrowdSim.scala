@@ -1,68 +1,37 @@
 package repro.sim
 
-import repro.crowd.{CrowdModel, DoorFlow, EdgeKey, ModelState}
-import repro.estimator.PopulationEstimator
-import scala.collection.mutable.ArrayBuffer
+import repro.crowd.{CrowdModel, DoorFlow, ModelState}
+import repro.estimator.{GlobalEstimator, PopulationEstimator}
 import scala.util.Random
 
 /** Ground-truth crowd micro-simulator — the gold standard of Section 6.
   *
-  * Evolves the *actual* populations of every partition on the update grid.
-  * At each grid step, every reporting door emits a flow — `Poisson(λ)` draws
-  * in stochastic mode, exactly λ in deterministic mode — rectified against
-  * the emitting partition's actual population exactly as the estimators
-  * rectify expected flows. In deterministic mode the simulator is therefore
-  * the fixed point of the exact global estimator, which is what makes the
-  * "exact search ≡ gold" test possible (DESIGN.md §5.3).
+  * Evolves the *actual* populations of every partition on the update grid
+  * by running Algorithm 1 with another flow source: at each grid step, every
+  * reporting door emits a flow — `Poisson(λ)` draws in stochastic mode
+  * (taken in link order, reporting doors only), exactly λ in deterministic
+  * mode — rectified against the emitting partition's actual population
+  * exactly as the estimators rectify expected flows. In deterministic mode
+  * the simulator is therefore the exact global estimator, which is what
+  * makes the "exact search ≡ gold" test possible (DESIGN.md §5.3).
   *
   * One instance represents one realized world; all algorithms evaluated for
   * a query instance are scored against the same realization.
   */
 final class CrowdSim(val model: CrowdModel, seed: Long, val deterministic: Boolean) {
-  private val space   = model.space
-  private val rng     = new Random(seed)
-  private val popHist = ArrayBuffer[Array[Double]](model.initialPop.toArray)
+  private val rng = new Random(seed)
+  private val flow: (Int, Int) => Double =
+    if (deterministic) model.expectedFlow
+    else (ei, g) => DoorFlow.samplePoisson(model.expectedFlow(ei, g), rng).toDouble // Poisson(0) draws nothing
+  private val truth = new GlobalEstimator(new ModelState(model), flow)
 
   /** Actual population of partition v over grid interval g. */
-  def populationAt(v: Int, g: Int): Double = {
-    ensure(g)
-    popHist(math.min(g, popHist.size - 1))(v)
-  }
+  def populationAt(v: Int, g: Int): Double = truth.populationAt(v, g)
 
   /** Snapshot of all actual populations at grid step g. */
-  def snapshot(g: Int): IndexedSeq[Double] = {
-    ensure(g)
-    popHist(math.min(g, popHist.size - 1)).toIndexedSeq
-  }
+  def snapshot(g: Int): IndexedSeq[Double] = (0 until model.space.numPartitions).map(truth.populationAt(_, g))
 
-  def derivedSteps: Int = popHist.size - 1
-
-  private def ensure(g: Int): Unit = while (popHist.size <= g) stepOnce()
-
-  private def stepOnce(): Unit = {
-    val g    = popHist.size
-    val prev = popHist(g - 1)
-    val flows = model.edges.map { e =>
-      val f =
-        if (!model.doorReportsAt(e.door, g)) 0.0
-        else if (deterministic) model.lambda.getOrElse(e, 0.0)
-        else DoorFlow.samplePoisson(model.lambda.getOrElse(e, 0.0), rng).toDouble
-      e -> f
-    }.toMap
-    val rectified = scala.collection.mutable.HashMap.empty[EdgeKey, Double]
-    for (v <- 0 until space.numPartitions) {
-      val outs   = space.outLinks(v).map(l => EdgeKey(l.from, l.to, l.door))
-      val outSum = outs.map(flows).sum
-      val scale  = if (outSum > prev(v) && outSum > 0) prev(v) / outSum else 1.0
-      outs.foreach(e => rectified(e) = flows(e) * scale)
-    }
-    val next = Array.tabulate(space.numPartitions) { v =>
-      val out = space.outLinks(v).map(l => rectified(EdgeKey(l.from, l.to, l.door))).sum
-      val in  = space.inLinks(v).map(l => rectified(EdgeKey(l.from, l.to, l.door))).sum
-      math.max(0.0, prev(v) - out + in)
-    }
-    popHist += next
-  }
+  def derivedSteps: Int = truth.derivedSteps
 }
 
 /** Estimator facade over the simulator truth — used to compute the gold

@@ -1,7 +1,8 @@
 package repro.crowd
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.indoor.SynthFloorplan
+import repro.indoor.{IndoorSpace, SynthFloorplan}
+import repro.testutil.TestModels
 import scala.util.Random
 
 class CrowdModelSpec extends AnyFunSuite {
@@ -11,7 +12,8 @@ class CrowdModelSpec extends AnyFunSuite {
 
   test("model covers every directed link with an edge") {
     assert(model.edges.size == space.links.size)
-    assert(model.edges.toSet == space.links.map(l => EdgeKey(l.from, l.to, l.door)).toSet)
+    assert(model.edges == space.links.map(l => EdgeKey(l.from, l.to, l.door)))
+    assert(model.edges.indices.forall(ei => model.rate(ei) == model.lambda(model.edges(ei))))
   }
 
   test("λ values respect the paper's range [0, 3]") {
@@ -39,9 +41,9 @@ class CrowdModelSpec extends AnyFunSuite {
   }
 
   test("expectedFlow is zero between reports and λ at reports") {
-    val e = model.edges.find(e => model.reportEvery(e.door) == 5).get
-    assert(model.expectedFlow(e, 5) == model.lambda(e))
-    (1 to 4).foreach(g => assert(model.expectedFlow(e, g) == 0.0))
+    val ei = model.edges.indexWhere(e => model.reportEvery(e.door) == 5)
+    assert(model.expectedFlow(ei, 5) == model.lambda(model.edges(ei)))
+    (1 to 4).foreach(g => assert(model.expectedFlow(ei, g) == 0.0))
   }
 
   test("gridStep/gridTime round-trip") {
@@ -99,10 +101,29 @@ class CrowdModelSpec extends AnyFunSuite {
   test("ModelState instruments derivation counts") {
     val st = new ModelState(model)
     assert(st.popDerivations == 0 && st.flowDerivations == 0)
-    st.putFlow(model.edges.head, 1, 2.0)
+    st.putFlow(0, 1, 2.0)
     st.putPop(0, 1, 5.0)
     assert(st.popDerivations == 1 && st.flowDerivations == 1)
-    assert(st.getFlow(model.edges.head, 1).contains(2.0) && st.getPop(0, 1).contains(5.0))
+    assert(st.getFlow(0, 1).contains(2.0) && st.getPop(0, 1).contains(5.0))
+  }
+
+  test("invalid models and spaces are rejected at construction") {
+    val (fig, m) = TestModels.figure4()
+    def build(
+        lambda: Map[EdgeKey, Double] = m.lambda,
+        reportEvery: IndexedSeq[Int] = m.reportEvery,
+        ti: Int = m.ti,
+        initialPop: IndexedSeq[Double] = m.initialPop,
+    ) = new CrowdModel(fig, lambda, reportEvery, ti, m.t0, initialPop, m.historyNet)
+    build() // the fixture itself is valid
+    val cases = Seq[(String, () => Any)](
+      "λ not finite"                -> (() => build(lambda = m.lambda.updated(m.edges.head, Double.NaN))),
+      "report period 0"             -> (() => build(reportEvery = m.reportEvery.updated(0, 0))),
+      "ti 0"                        -> (() => build(ti = 0)),
+      "negative initial population" -> (() => build(initialPop = m.initialPop.updated(1, -1.0))),
+      "duplicate (from, to, door)"  -> (() => new IndoorSpace(fig.partitions, fig.doors, fig.links :+ fig.links.head, Map.empty)),
+    )
+    for ((rule, bad) <- cases) withClue(rule)(intercept[IllegalArgumentException](bad()))
   }
 }
 

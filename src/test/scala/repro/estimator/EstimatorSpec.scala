@@ -15,12 +15,12 @@ class EstimatorSpec extends AnyFunSuite {
     val (_, model) = TestModels.figure4()
     val est        = globalOn(model)
     est.populationAt(0, 1) // trigger step 1
-    val st = est.state
-    assert(math.abs(st.getFlow(EdgeKey(0, 1, 0), 1).get - 2.0) < 1e-12)
-    assert(math.abs(st.getFlow(EdgeKey(0, 2, 1), 1).get - 1.0) < 1e-12)
+    def flow(e: EdgeKey): Double = est.state.getFlow(model.edges.indexOf(e), 1).get
+    assert(math.abs(flow(EdgeKey(0, 1, 0)) - 2.0) < 1e-12)
+    assert(math.abs(flow(EdgeKey(0, 2, 1)) - 1.0) < 1e-12)
     // v2 and v3 are not rectified
-    assert(math.abs(st.getFlow(EdgeKey(1, 0, 0), 1).get - 2.0) < 1e-12)
-    assert(math.abs(st.getFlow(EdgeKey(2, 1, 2), 1).get - 1.0) < 1e-12)
+    assert(math.abs(flow(EdgeKey(1, 0, 0)) - 2.0) < 1e-12)
+    assert(math.abs(flow(EdgeKey(2, 1, 2)) - 1.0) < 1e-12)
   }
 
   test("figure 4: new populations are (2, 8, 4) as in the paper") {
@@ -117,6 +117,14 @@ class EstimatorSpec extends AnyFunSuite {
     assert(p.state.flowDerivations < l.state.flowDerivations)
   }
 
+  test("derivation counts are pinned: every partition at g = 0..40 of miniModel(3)") {
+    val model = TestModels.miniModel(objScale = 3)
+    for ((est, flows, pops) <- Seq((globalOn(model), 2088, 560), (localOn(model), 2088, 560), (ppOn(model), 1601, 560))) {
+      for (g <- 0 to 40; v <- 0 until model.space.numPartitions) est.populationAt(v, g)
+      assert((est.state.flowDerivations, est.state.popDerivations) == ((flows, pops)), est.name)
+    }
+  }
+
   test("estimates are memoized: repeated lookups do not re-derive") {
     val model = TestModels.miniModel()
     val l     = localOn(model)
@@ -201,8 +209,7 @@ class EstimatorSpec extends AnyFunSuite {
     est.populationAt(0, 15)
     for (v <- 0 until model.space.numPartitions; g <- 1 to 15) {
       val pPrev = est.populationAt(v, g - 1)
-      val out = model.space.outLinks(v)
-        .map(l => est.state.getFlow(EdgeKey(l.from, l.to, l.door), g).get).sum
+      val out = model.space.outLinkIds(v).map(est.state.getFlow(_, g).get).sum
       assert(out <= pPrev + 1e-9, s"v=$v g=$g out=$out pop=$pPrev")
     }
   }

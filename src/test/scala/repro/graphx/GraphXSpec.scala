@@ -27,7 +27,7 @@ class GraphXSpec extends SparkSpec {
     val timeline = GraphXEstimator.derive(spark, model, steps)
     val seq      = new GlobalEstimator(new ModelState(model))
     for (g <- 0 to steps; v <- 0 until model.space.numPartitions) {
-      assert(math.abs(timeline(g)(v.toLong) - seq.populationAt(v, g)) < 1e-9, s"v=$v g=$g")
+      assert(math.abs(timeline(g)(v) - seq.populationAt(v, g)) < 1e-9, s"v=$v g=$g")
     }
   }
 
@@ -36,29 +36,21 @@ class GraphXSpec extends SparkSpec {
     val timeline = GraphXEstimator.derive(spark, starved, 8)
     val seq      = new GlobalEstimator(new ModelState(starved))
     for (g <- 0 to 8; v <- 0 until starved.space.numPartitions) {
-      assert(math.abs(timeline(g)(v.toLong) - seq.populationAt(v, g)) < 1e-9, s"v=$v g=$g")
+      assert(math.abs(timeline(g)(v) - seq.populationAt(v, g)) < 1e-9, s"v=$v g=$g")
     }
   }
 
   test("GraphX global estimator conserves total population") {
     val timeline = GraphXEstimator.derive(spark, model, 6)
-    val total0   = timeline(0).values.sum
-    timeline.foreach(m => assert(math.abs(m.values.sum - total0) < 1e-6))
-  }
-
-  test("deriveDense matches derive") {
-    val dense = GraphXEstimator.deriveDense(spark, model, 4)
-    val maps  = GraphXEstimator.derive(spark, model, 4)
-    for (g <- 0 to 4; v <- 0 until model.space.numPartitions) {
-      assert(dense(g)(v) == maps(g)(v.toLong))
-    }
+    val total0   = timeline(0).sum
+    timeline.foreach(pops => assert(math.abs(pops.sum - total0) < 1e-6))
   }
 
   test("Pregel search equals driver Dijkstra on frozen (snapshot) weights") {
     val ps = model.space.partitions(0).rect.interiorPoint(0.4, 0.4, 0)
     val pt = model.space.partitions(12).rect.interiorPoint(0.6, 0.6, 0)
     for (snapStep <- Seq(0, 3)) {
-      val dense    = Array(GraphXEstimator.deriveDense(spark, model, snapStep).last)
+      val dense    = Array(GraphXEstimator.derive(spark, model, snapStep).last)
       val frozen   = new FrozenEstimator(new LocalEstimator(new ModelState(model), true), snapStep)
       for (qt <- Seq(QueryType.FPQ, QueryType.LCPQ)) {
         val pregel = GraphXSearch.run(spark, model, dense, ps, pt, 0.0, qt)
@@ -86,7 +78,7 @@ class GraphXSpec extends SparkSpec {
   test("time-dependent Pregel label correction is never worse than driver Dijkstra") {
     val ps    = model.space.partitions(2).rect.interiorPoint(0.5, 0.5, 0)
     val pt    = model.space.partitions(10).rect.interiorPoint(0.5, 0.5, 0)
-    val dense = GraphXEstimator.deriveDense(spark, model, 40)
+    val dense = GraphXEstimator.derive(spark, model, 40)
     for (qt <- Seq(QueryType.FPQ, QueryType.LCPQ)) {
       val pregel = GraphXSearch.run(spark, model, dense, ps, pt, 0.0, qt)
       val driver = Search.run(new GlobalEstimator(new ModelState(model)), ps, pt, 0.0, qt, maxGrid = 40)

@@ -164,6 +164,13 @@ class FloorplanSpec extends AnyFunSuite {
     }
   }
 
+  test("per-partition link ids list the partition's links in link order") {
+    for (v <- 0 until office1.numPartitions) {
+      assert(office1.outLinkIds(v).toSeq == office1.links.indices.filter(office1.links(_).from == v))
+      assert(office1.inLinkIds(v).toSeq == office1.links.indices.filter(office1.links(_).to == v))
+    }
+  }
+
   test("generation is deterministic in the seed") {
     val a = SynthFloorplan.office(2, seed = 123)
     val b = SynthFloorplan.office(2, seed = 123)

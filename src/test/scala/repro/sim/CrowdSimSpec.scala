@@ -16,6 +16,18 @@ class CrowdSimSpec extends AnyFunSuite {
     }
   }
 
+  test("the gold worlds are pinned: snapshot(30) of miniModel(3), seed 7, both modes") {
+    val model = TestModels.miniModel(objScale = 3)
+    val stochastic = Vector(2.2488015182475154, 0.13579521590498117, 0.6013470454298422, 0.0,
+      1.1708155401467077, 1.9999999999999996, 1.8749785767304508, 2.1648048666891855, 1.1966398644427505,
+      0.8338247704044582, 4.262222274134157, 1.561087386862277, 2.3532580081716343, 1.7805436934311385)
+    val deterministic = Vector(2.905405123327416, 1.4782822650076817, 2.875125211178501, 2.128909893087923,
+      0.9449566738174322, 3.4776057829393263, 0.514579423915472, 0.828513175287594, 1.185613047337497,
+      0.4800477277907667, 1.0743567985678049, 1.1244508811870164, 0.8389759175994824, 2.3272968395511846)
+    assert(new CrowdSim(model, seed = 7, deterministic = false).snapshot(30) == stochastic)
+    assert(new CrowdSim(model, seed = 7, deterministic = true).snapshot(30) == deterministic)
+  }
+
   test("stochastic simulation conserves total population") {
     val model  = TestModels.miniModel(objScale = 40)
     val sim    = new CrowdSim(model, seed = 2, deterministic = false)

@@ -26,8 +26,18 @@ object Cost {
     * as the final tiebreak so the comparison is total).
     */
   def ordering(qt: QueryType): Ordering[Cost] = qt match {
-    case QueryType.FPQ  => Ordering.by(c => (c.time, c.dist, c.contact))
-    case QueryType.LCPQ => Ordering.by(c => (c.contact, c.dist, c.time))
+    case QueryType.FPQ  => (a, b) => lexicographic(a.time, b.time, a.dist, b.dist, a.contact, b.contact)
+    case QueryType.LCPQ => (a, b) => lexicographic(a.contact, b.contact, a.dist, b.dist, a.time, b.time)
+  }
+
+  // java.lang.Double.compare is the total order Scala's tuple orderings use for Double
+  private def lexicographic(a1: Double, b1: Double, a2: Double, b2: Double, a3: Double, b3: Double): Int = {
+    val c1 = java.lang.Double.compare(a1, b1)
+    if (c1 != 0) c1
+    else {
+      val c2 = java.lang.Double.compare(a2, b2)
+      if (c2 != 0) c2 else java.lang.Double.compare(a3, b3)
+    }
   }
 }
 

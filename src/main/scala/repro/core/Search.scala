@@ -26,9 +26,10 @@ object Search {
   final case class D(door: Int)   extends Node
 
   /** Per-query instrumentation. `memKB` is the paper's memory metric,
-    * modeled as retained bytes of the search/estimation bookkeeping
-    * (derived population records, flow records, stamps, settled set) —
-    * see DESIGN.md §5.5.
+    * modeled from counted derivation events × per-entry byte sizes:
+    * population derivations, flow writes (a flow set or rescaled; flows are
+    * recomputed, not retained), queue pushes and settled doors. It counts
+    * work done, not records retained at query end — see DESIGN.md §5.5.
     */
   final case class Stats(
       millis: Double,

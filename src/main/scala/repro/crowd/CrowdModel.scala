@@ -1,7 +1,6 @@
 package repro.crowd
 
 import repro.indoor.{CrowdType, IndoorSpace}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Identifies one directed crowd-model edge e(v_i, v_j, d_k). */
@@ -56,7 +55,13 @@ final class CrowdModel(
   /** The edges in `space.links` order: an edge's index is its link index. */
   val edges: Vector[EdgeKey] = space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
 
-  private val rates: Array[Double] = edges.iterator.map(lambda.getOrElse(_, 0.0)).toArray
+  // λ and the report period of each edge, by edge index
+  private val rates      = new Array[Double](edges.size)
+  private val edgePeriod = new Array[Int](edges.size)
+  edges.indices.foreach { ei =>
+    rates(ei) = lambda.getOrElse(edges(ei), 0.0)
+    edgePeriod(ei) = reportEvery(edges(ei).door)
+  }
 
   /** λ of edge `ei` (0 if the model has no rate for it). */
   def rate(ei: Int): Double = rates(ei)
@@ -77,7 +82,7 @@ final class CrowdModel(
 
   /** Expected flow on edge `ei` at grid step `g` (0 between reports). */
   def expectedFlow(ei: Int, g: Int): Double =
-    if (doorReportsAt(space.links(ei).door, g)) rates(ei) else 0.0
+    if ((g + gridOffset) % edgePeriod(ei) == 0) rates(ei) else 0.0
 
   /** Grid step whose unit interval covers absolute time `t` (≥ t0). */
   def gridStep(t: Double): Int = math.max(0, ((t - t0) / ti).toInt)
@@ -94,9 +99,32 @@ final class CrowdModel(
     * v's doors' report timestamps, in the same phase as [[doorReportsAt]].
     */
   def updateStepsBetween(v: Int, gFrom: Int, gTo: Int): Int = {
-    val periods = space.allDoors(v).map(reportEvery)
-    ((gFrom + 1 + gridOffset) to (gTo + gridOffset)).count(g => periods.exists(p => g % p == 0))
+    val periods = space.allDoors(v).iterator.map(reportEvery).toArray
+    val lo      = gFrom + 1 + gridOffset
+    val n       = gTo + gridOffset - lo + 1 // global steps lo until lo + n
+    def count(from: Int, until: Int): Int = {
+      var c = 0
+      var g = from
+      while (g < until) {
+        var i = 0
+        while (i < periods.length && g % periods(i) != 0) i += 1
+        if (i < periods.length) c += 1
+        g += 1
+      }
+      c
+    }
+    // UT(v) repeats with the lcm L of the periods: count whole runs of L, then the rest
+    var lcm = 1L
+    periods.foreach(p => if (lcm <= n) lcm = lcm / gcd(lcm, p) * p)
+    if (lcm > n) count(lo, lo + n)
+    else {
+      val l    = lcm.toInt
+      val runs = n / l
+      runs * count(lo, lo + l) + count(lo + runs * l, lo + n)
+    }
   }
+
+  @annotation.tailrec private def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
 
   /** Mean and std-dev of v's historical flow differences (Strategy NT). */
   def historyStats(v: Int): (Double, Double) = {
@@ -154,77 +182,95 @@ object CrowdModel {
   }
 }
 
-/** Mutable per-query evolution state: the local flow arrays `F[t]` of the
-  * edge labels plus the derived population records, with instrumentation
-  * counters that the experiment harness converts into the paper's memory
-  * metric. One instance per query run; the underlying [[CrowdModel]] is
-  * immutable and shared.
+/** Mutable per-query evolution state: for every partition, a dense column
+  * of derived populations P(v, g) and one of Figure 4's outflow scales
+  * s(v, g), with instrumentation counters that the experiment harness
+  * converts into the paper's memory metric. One instance per query run; the
+  * underlying [[CrowdModel]] is immutable and shared.
   *
-  * Storage is `LongMap`-backed with packed (id, step) keys — this state is
-  * the hot path of every estimator, so boxing-free lookups matter. Edges are
-  * addressed by their index in `model.edges`.
+  * The rectified flows `F[t]` of the edge labels are not stored: edge `ei`
+  * leaving partition `u` carries `raw(ei, g) · s(u, g)` at step g, and
+  * [[applyEq6]] recomputes that product where Eq. 6 sums it.
+  *
+  * Every estimator derives a partition's steps in order, so each column is
+  * a prefix: step g is derived iff g ≤ the column's top. A column is
+  * allocated on its first write and grows by doubling.
   */
 final class ModelState(val model: CrowdModel) {
   private val space = model.space
-  /** Packed key: id in the high bits, grid step (< 2^20) in the low. */
-  @inline private def key(id: Int, g: Int): Long = (id.toLong << 20) | g.toLong
+  private val n     = space.numPartitions
 
-  /** F[e][g]: rectified flow of edge e at grid step g. */
-  private val flowMap = mutable.LongMap.empty[Double]
-  /** P[v][g]: population of partition v over grid interval g. */
-  private val popMap = mutable.LongMap.empty[Double]
-  /** Guard: partition v's outflows at step g are set and rectified. */
-  private val outDoneSet = mutable.LongMap.empty[Boolean]
+  // column v holds steps 1..top(v) at their own index; slot 0 of a population column is P_{t_l}
+  private val pops      = new Array[Array[Double]](n)
+  private val popTops   = new Array[Int](n)
+  private val scales    = new Array[Array[Double]](n)
+  private val scaleTops = new Array[Int](n)
 
   var popDerivations: Long  = 0
   var flowDerivations: Long = 0
 
-  def hasFlow(ei: Int, g: Int): Boolean         = flowMap.contains(key(ei, g))
-  def getFlowRaw(ei: Int, g: Int): Double       = flowMap(key(ei, g))
-  def getFlow(ei: Int, g: Int): Option[Double]  = flowMap.get(key(ei, g))
-  def putFlow(ei: Int, g: Int, value: Double): Unit = {
-    flowMap(key(ei, g)) = value
-    flowDerivations += 1
+  /** Highest grid step whose population of v is derived (0: only `P_{t_l}`). */
+  def popTop(v: Int): Int               = popTops(v)
+  def hasPop(v: Int, g: Int): Boolean   = g <= popTops(v)
+  def hasScale(v: Int, g: Int): Boolean = g <= scaleTops(v)
+
+  /** Population of partition v over a derived grid interval g ≥ 0. */
+  def pop(v: Int, g: Int): Double = {
+    if (g > popTops(v)) throw new IllegalArgumentException(s"population of $v at step $g is not derived")
+    val col = pops(v)
+    if (col == null) model.initialPop(v) else col(g)
   }
 
-  def hasPop(v: Int, g: Int): Boolean   = popMap.contains(key(v, g))
-  def getPopRaw(v: Int, g: Int): Double = popMap(key(v, g))
-  def getPop(v: Int, g: Int): Option[Double] = popMap.get(key(v, g))
-  def putPop(v: Int, g: Int, value: Double): Unit = {
-    popMap(key(v, g)) = value
+  /** The rectified flow Eq. 6 reads for edge `ei` at step g: the expected
+    * flow, scaled by its source's step-g factor once that is known.
+    */
+  def flow(ei: Int, g: Int): Double = model.expectedFlow(ei, g) * scaleOrOne(space.linkFrom(ei), g)
+
+  private def scaleOrOne(u: Int, g: Int): Double = if (g <= scaleTops(u)) scales(u)(g) else 1.0
+
+  /** Figure 4 for partition v at its next step g: records the factor s(v, g)
+    * that scales v's raw outflows `raw(ei, g)` down to its previous
+    * population `pPrev` when they exceed it.
+    */
+  def rectifyOut(v: Int, g: Int, pPrev: Double, raw: (Int, Int) => Double): Unit = {
+    val outs = space.outLinkIds(v)
+    var sum  = 0.0
+    var i    = 0
+    while (i < outs.length) { sum += raw(outs(i), g); i += 1 }
+    val s = ModelState.scale(pPrev, sum)
+    if (s != 1.0) flowDerivations += outs.length // each outflow is rewritten
+    if (g != scaleTops(v) + 1) outOfOrder("scale", v, g)
+    scales(v) = ModelState.grown(scales(v), g)
+    scales(v)(g) = s
+    scaleTops(v) = g
+  }
+
+  /** Eq. 6 for partition v at its next step g: its outflows scaled by
+    * s(v, g), each inflow by its source's s(u, g) when u has rectified step g
+    * (1 otherwise), each flow scaled before it is added, in link order.
+    */
+  def applyEq6(v: Int, g: Int, pPrev: Double, raw: (Int, Int) => Double): Unit = {
+    if (g != popTops(v) + 1 || g > scaleTops(v)) outOfOrder("population", v, g)
+    val outs = space.outLinkIds(v)
+    val s    = scales(v)(g)
+    var out  = 0.0
+    var i    = 0
+    while (i < outs.length) { out += raw(outs(i), g) * s; i += 1 }
+    val ins = space.inLinkIds(v)
+    var in  = 0.0
+    i = 0
+    while (i < ins.length) { in += raw(ins(i), g) * scaleOrOne(space.linkFrom(ins(i)), g); i += 1 }
+    val col = ModelState.grown(pops(v), g)
+    if (g == 1) col(0) = model.initialPop(v)
+    col(g) = ModelState.next(pPrev, out, in)
+    pops(v) = col
+    popTops(v) = g
     popDerivations += 1
   }
 
-  /** Marks (v, g) outflow-rectified; returns true on first marking. */
-  def markOutDone(v: Int, g: Int): Boolean = {
-    val k = key(v, g)
-    if (outDoneSet.contains(k)) false
-    else { outDoneSet(k) = true; true }
-  }
-
-  /** Figure 4 for partition v at step g: scales v's outflows, all already
-    * set, down to its previous population `pPrev` when they exceed it.
-    */
-  def rectifyOut(v: Int, g: Int, pPrev: Double): Unit = {
-    val outs = space.outLinkIds(v)
-    val s    = ModelState.scale(pPrev, sumFlows(outs, g))
-    if (s != 1.0) {
-      var i = 0
-      while (i < outs.length) { putFlow(outs(i), g, getFlowRaw(outs(i), g) * s); i += 1 }
-    }
-  }
-
-  /** Eq. 6 for partition v at step g from its rectified out- and inflows. */
-  def applyEq6(v: Int, g: Int, pPrev: Double): Unit =
-    putPop(v, g, ModelState.next(pPrev, sumFlows(space.outLinkIds(v), g), sumFlows(space.inLinkIds(v), g)))
-
-  // summed in link order, so every path adds the same floats in the same order
-  private def sumFlows(ids: Array[Int], g: Int): Double = {
-    var sum = 0.0
-    var i   = 0
-    while (i < ids.length) { sum += getFlowRaw(ids(i), g); i += 1 }
-    sum
-  }
+  // a population needs its step's scale first; both columns are appended to in step order
+  private def outOfOrder(what: String, v: Int, g: Int): Nothing =
+    throw new IllegalStateException(s"$what of partition $v at step $g written out of order")
 }
 
 /** The population step of Section 4, shared by every estimator, the gold
@@ -242,4 +288,19 @@ object ModelState {
     * out- and inflows, clamped at 0.
     */
   def next(pop: Double, out: Double, in: Double): Double = math.max(0.0, pop - out + in)
+
+  private val InitialSteps = 32
+
+  /** A per-step column with room for index g: `col` itself when it has it,
+    * else a copy at least twice as long (a fresh one for null) whose new
+    * slots hold `empty`.
+    */
+  private[repro] def grown(col: Array[Double], g: Int, empty: Double = 0.0): Array[Double] =
+    if (col != null && g < col.length) col
+    else {
+      val old = if (col == null) Array.emptyDoubleArray else col
+      val out = java.util.Arrays.copyOf(old, math.max(math.max(InitialSteps, 2 * old.length), g + 1))
+      if (empty != 0.0) java.util.Arrays.fill(out, old.length, out.length, empty)
+      out
+    }
 }

@@ -77,7 +77,8 @@ object Harness {
     Search.run(new SimOracleEstimator(new ModelState(model), sim), q.ps, q.pt, tq, qt, maxGrid)
 
   /** Evaluate one variant over a set of instances: `reps` timed repetitions
-    * per instance (paper: 10), accuracy from the first repetition.
+    * per instance (paper: 10), accuracy from the last repetition (runs are
+    * deterministic, so every repetition returns the same path).
     */
   def evaluate(
       model: CrowdModel,

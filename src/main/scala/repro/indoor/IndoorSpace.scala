@@ -58,14 +58,22 @@ final class IndoorSpace(
   val numPartitions: Int = partitions.size
   val numDoors: Int      = doors.size
 
-  { // a duplicate (from, to, door) would silently share one λ and one F[t]
+  /** The two ends of each link, by link index. */
+  val linkFrom: Array[Int] = new Array[Int](links.size)
+  val linkTo: Array[Int]   = new Array[Int](links.size)
+
+  { // a duplicate (from, to, door) would silently share one λ
     val seen = mutable.HashSet.empty[DoorLink]
+    var i    = 0
     links.foreach { l =>
       require(l.from >= 0 && l.from < numPartitions, s"bad link from ${l.from}")
       require(l.to >= 0 && l.to < numPartitions, s"bad link to ${l.to}")
       require(l.door >= 0 && l.door < numDoors, s"bad link door ${l.door}")
       require(l.from != l.to, s"self-loop link $l")
       require(seen.add(l), s"duplicate link $l")
+      linkFrom(i) = l.from
+      linkTo(i) = l.to
+      i += 1
     }
   }
 

@@ -71,6 +71,32 @@ class CrowdModelSpec extends AnyFunSuite {
     }
   }
 
+  test("updateStepsBetween's whole-period count equals the step-by-step count") {
+    // the step-by-step count it replaced, kept as the reference
+    def byStep(m: CrowdModel, v: Int, gFrom: Int, gTo: Int): Int = {
+      val periods = m.space.allDoors(v).map(m.reportEvery)
+      ((gFrom + 1 + m.gridOffset) to (gTo + m.gridOffset)).count(g => periods.exists(p => g % p == 0))
+    }
+    val rng        = new Random(3)
+    val mismatches = Seq.newBuilder[String]
+    for (offset <- 0 until 60) {
+      val m = if (offset == 0) model else model.withObservation(model.initialPop, offset)
+      for (v <- 0 until m.space.numPartitions) {
+        val periods = m.space.allDoors(v).map(m.reportEvery).toArray
+        var count   = 0 // byStep(m, v, 0, g), one step at a time
+        for (g <- 1 to 800) {
+          if (periods.exists(p => (g + offset) % p == 0)) count += 1
+          if (m.updateStepsBetween(v, 0, g) != count) mismatches += s"offset=$offset v=$v (0, $g]"
+        }
+        val a = rng.nextInt(800)
+        val b = a + rng.nextInt(801 - a)
+        for ((from, to) <- Seq((0, 0), (0, 800), (a, b), (b, a)))
+          if (m.updateStepsBetween(v, from, to) != byStep(m, v, from, to)) mismatches += s"offset=$offset v=$v ($from, $to]"
+      }
+    }
+    assert(mismatches.result().isEmpty)
+  }
+
   test("historyStats computes mean and stddev of the net-flow history") {
     val v         = 3
     val h         = model.historyNet(v)
@@ -99,12 +125,30 @@ class CrowdModelSpec extends AnyFunSuite {
   }
 
   test("ModelState instruments derivation counts") {
-    val st = new ModelState(model)
+    val (_, fig) = TestModels.figure4()
+    val st       = new ModelState(fig)
+    val raw      = (ei: Int, g: Int) => fig.expectedFlow(ei, g)
     assert(st.popDerivations == 0 && st.flowDerivations == 0)
-    st.putFlow(0, 1, 2.0)
-    st.putPop(0, 1, 5.0)
-    assert(st.popDerivations == 1 && st.flowDerivations == 1)
-    assert(st.getFlow(0, 1).contains(2.0) && st.getPop(0, 1).contains(5.0))
+    st.rectifyOut(0, 1, 3.0, raw) // v1's outflows (4, 2) exceed its 3: both are rewritten
+    st.rectifyOut(1, 1, 7.0, raw) // v2's fit: none is
+    assert(st.flowDerivations == 2 && st.popDerivations == 0)
+    assert(st.hasScale(0, 1) && st.hasScale(1, 1) && !st.hasScale(2, 1))
+    st.applyEq6(0, 1, 3.0, raw) // 3 − (2 + 1) + (2 + 0)
+    assert(st.popDerivations == 1 && st.flowDerivations == 2)
+    assert(st.hasPop(0, 1) && !st.hasPop(1, 1) && st.pop(0, 1) == 2.0 && st.pop(0, 0) == 3.0)
+  }
+
+  test("ModelState columns are written in step order, each scale before its population") {
+    val (_, fig) = TestModels.figure4()
+    val st       = new ModelState(fig)
+    val raw      = (ei: Int, g: Int) => fig.expectedFlow(ei, g)
+    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, raw))   // no scale at step 1 yet
+    intercept[IllegalStateException](st.rectifyOut(0, 2, 3.0, raw)) // skips step 1
+    intercept[IllegalArgumentException](st.pop(0, 1))                // not derived
+    st.rectifyOut(0, 1, 3.0, raw)
+    st.applyEq6(0, 1, 3.0, raw)
+    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, raw))   // already derived
+    assert(st.popTop(0) == 1 && st.popDerivations == 1)
   }
 
   test("invalid models and spaces are rejected at construction") {

@@ -68,7 +68,7 @@ class EstimatorPropertySpec extends AnyFunSuite {
       val est   = new GlobalEstimator(new ModelState(model))
       est.populationAt(0, 10)
       for (v <- 0 until model.space.numPartitions; g <- 1 to 10) {
-        val out = model.space.outLinkIds(v).map(est.state.getFlow(_, g).get).sum
+        val out = model.space.outLinkIds(v).map(est.state.flow(_, g)).sum
         assert(out <= est.populationAt(v, g - 1) + 1e-9, s"seed=$seed v=$v g=$g")
       }
     }

@@ -15,7 +15,7 @@ class EstimatorSpec extends AnyFunSuite {
     val (_, model) = TestModels.figure4()
     val est        = globalOn(model)
     est.populationAt(0, 1) // trigger step 1
-    def flow(e: EdgeKey): Double = est.state.getFlow(model.edges.indexOf(e), 1).get
+    def flow(e: EdgeKey): Double = est.state.flow(model.edges.indexOf(e), 1)
     assert(math.abs(flow(EdgeKey(0, 1, 0)) - 2.0) < 1e-12)
     assert(math.abs(flow(EdgeKey(0, 2, 1)) - 1.0) < 1e-12)
     // v2 and v3 are not rectified
@@ -209,7 +209,7 @@ class EstimatorSpec extends AnyFunSuite {
     est.populationAt(0, 15)
     for (v <- 0 until model.space.numPartitions; g <- 1 to 15) {
       val pPrev = est.populationAt(v, g - 1)
-      val out = model.space.outLinkIds(v).map(est.state.getFlow(_, g).get).sum
+      val out = model.space.outLinkIds(v).map(est.state.flow(_, g)).sum
       assert(out <= pPrev + 1e-9, s"v=$v g=$g out=$out pop=$pPrev")
     }
   }

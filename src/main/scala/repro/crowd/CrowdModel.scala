@@ -25,7 +25,7 @@ final case class EdgeKey(from: Int, to: Int, door: Int)
   * @param historyNet  per-partition recent samples of (inflow − outflow) per
   *                    update interval, newest last — `UT_past` of Strategy NT
   */
-final class CrowdModel(
+final class CrowdModel private (
     val space: IndoorSpace,
     val lambda: Map[EdgeKey, Double],
     val reportEvery: IndexedSeq[Int],
@@ -33,34 +33,79 @@ final class CrowdModel(
     val t0: Double,
     val initialPop: IndexedSeq[Double],
     val historyNet: IndexedSeq[Vector[Double]],
-    val speed: Double = 1.2,
-    val bufferW: Double = 1.0,
-    val beta: Double = 1.0,
+    val speed: Double,
+    val bufferW: Double,
+    val beta: Double,
     /** Shift of this model's grid origin relative to the doors' aligned
       * report phase — nonzero for re-synchronized models (adaptive baseline),
       * so report timestamps stay globally consistent.
       */
-    val gridOffset: Int = 0,
+    val gridOffset: Int,
+    parent: CrowdModel, // a re-synchronized copy shares its parent's checked edge arrays
 ) extends Serializable {
-  require(reportEvery.size == space.numDoors)
+  def this(
+      space: IndoorSpace,
+      lambda: Map[EdgeKey, Double],
+      reportEvery: IndexedSeq[Int],
+      ti: Int,
+      t0: Double,
+      initialPop: IndexedSeq[Double],
+      historyNet: IndexedSeq[Vector[Double]],
+      speed: Double = 1.2,
+      bufferW: Double = 1.0,
+      beta: Double = 1.0,
+      gridOffset: Int = 0,
+  ) = this(space, lambda, reportEvery, ti, t0, initialPop, historyNet, speed, bufferW, beta, gridOffset, null)
+
   require(initialPop.size == space.numPartitions)
-  require(historyNet.size == space.numPartitions)
-  require(lambda.valuesIterator.forall(finiteNonNegative), "every λ must be finite and ≥ 0")
-  require(reportEvery.forall(_ >= 1), "every report period must be ≥ 1 grid step")
-  require(ti > 0, s"grid step ti must be > 0, got $ti")
   require(initialPop.forall(finiteNonNegative), "every initial population must be finite and ≥ 0")
+  if (parent == null) {
+    require(reportEvery.size == space.numDoors)
+    require(historyNet.size == space.numPartitions)
+    require(lambda.valuesIterator.forall(finiteNonNegative), "every λ must be finite and ≥ 0")
+    require(reportEvery.forall(_ >= 1), "every report period must be ≥ 1 grid step")
+    require(ti > 0, s"grid step ti must be > 0, got $ti")
+  }
 
   private def finiteNonNegative(x: Double): Boolean = x >= 0 && x < Double.PositiveInfinity
 
   /** The edges in `space.links` order: an edge's index is its link index. */
-  val edges: Vector[EdgeKey] = space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
+  val edges: Vector[EdgeKey] =
+    if (parent != null) parent.edges else space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
 
-  // λ and the report period of each edge, by edge index
-  private val rates      = new Array[Double](edges.size)
-  private val edgePeriod = new Array[Int](edges.size)
-  edges.indices.foreach { ei =>
-    rates(ei) = lambda.getOrElse(edges(ei), 0.0)
-    edgePeriod(ei) = reportEvery(edges(ei).door)
+  // by edge index: λ, and which of the distinct report `periods` the edge's door reports with
+  private[repro] val rates: Array[Double] = if (parent != null) parent.rates else new Array[Double](edges.size)
+  private[crowd] val periodOf: Array[Int] = if (parent != null) parent.periodOf else new Array[Int](edges.size)
+  private val periods: Array[Int]         = if (parent != null) parent.periods else fillEdgeArrays()
+
+  // fills `rates` and `periodOf`; returns the distinct periods in order of first use
+  private def fillEdgeArrays(): Array[Int] = {
+    val found = new Array[Int](reportEvery.size)
+    var k     = 0
+    var ei    = 0
+    while (ei < edges.size) {
+      val e = edges(ei)
+      rates(ei) = lambda.getOrElse(e, 0.0)
+      val p = reportEvery(e.door)
+      var j = 0
+      while (j < k && found(j) != p) j += 1
+      if (j == k) { found(k) = p; k += 1 }
+      periodOf(ei) = j
+      ei += 1
+    }
+    java.util.Arrays.copyOf(found, k)
+  }
+
+  /** Length of a report vector: the number of distinct report periods. */
+  private[repro] def numPeriods: Int = periods.length
+
+  /** Step g's report vector: `on(k)` is 1.0 when doors of the k-th distinct
+    * period report at step g, else 0.0. Edge `ei` then carries the expected
+    * flow `rates(ei) · on(periodOf(ei))`; one `%` per period, not per edge.
+    */
+  private[repro] def reportInto(g: Int, on: Array[Double]): Unit = {
+    var k = 0
+    while (k < periods.length) { on(k) = if ((g + gridOffset) % periods(k) == 0) 1.0 else 0.0; k += 1 }
   }
 
   /** λ of edge `ei` (0 if the model has no rate for it). */
@@ -78,11 +123,11 @@ final class CrowdModel(
     */
   def withObservation(observedPop: IndexedSeq[Double], gNow: Int): CrowdModel =
     new CrowdModel(space, lambda, reportEvery, ti, gridTime(gNow), observedPop, historyNet,
-      speed, bufferW, beta, gridOffset + gNow)
+      speed, bufferW, beta, gridOffset + gNow, this)
 
   /** Expected flow on edge `ei` at grid step `g` (0 between reports). */
   def expectedFlow(ei: Int, g: Int): Double =
-    if ((g + gridOffset) % edgePeriod(ei) == 0) rates(ei) else 0.0
+    if ((g + gridOffset) % periods(periodOf(ei)) == 0) rates(ei) else 0.0
 
   /** Grid step whose unit interval covers absolute time `t` (≥ t0). */
   def gridStep(t: Double): Int = math.max(0, ((t - t0) / ti).toInt)
@@ -190,15 +235,20 @@ object CrowdModel {
   *
   * The rectified flows `F[t]` of the edge labels are not stored: edge `ei`
   * leaving partition `u` carries `raw(ei, g) · s(u, g)` at step g, and
-  * [[applyEq6]] recomputes that product where Eq. 6 sums it.
+  * [[applyEq6]] recomputes that product where Eq. 6 sums it. The raw flow is
+  * read as `w(ei) · on(period(ei))`: the estimators pass λ and step g's
+  * report vector ([[CrowdModel.reportInto]]), the gold simulator its drawn
+  * row and a vector of ones. For finite λ ≥ 0, `λ · 1.0 == λ` and
+  * `λ · 0.0 == +0.0`, so this is the expected flow bit for bit.
   *
   * Every estimator derives a partition's steps in order, so each column is
   * a prefix: step g is derived iff g ≤ the column's top. A column is
   * allocated on its first write and grows by doubling.
   */
 final class ModelState(val model: CrowdModel) {
-  private val space = model.space
-  private val n     = space.numPartitions
+  private val space    = model.space
+  private val n        = space.numPartitions
+  private val periodOf = model.periodOf
 
   // column v holds steps 1..top(v) at their own index; slot 0 of a population column is P_{t_l}
   private val pops      = new Array[Array[Double]](n)
@@ -211,6 +261,8 @@ final class ModelState(val model: CrowdModel) {
 
   /** Highest grid step whose population of v is derived (0: only `P_{t_l}`). */
   def popTop(v: Int): Int               = popTops(v)
+  /** Highest grid step whose outflow scale of v is recorded (0: none). */
+  def scaleTop(v: Int): Int             = scaleTops(v)
   def hasPop(v: Int, g: Int): Boolean   = g <= popTops(v)
   def hasScale(v: Int, g: Int): Boolean = g <= scaleTops(v)
 
@@ -229,14 +281,14 @@ final class ModelState(val model: CrowdModel) {
   private def scaleOrOne(u: Int, g: Int): Double = if (g <= scaleTops(u)) scales(u)(g) else 1.0
 
   /** Figure 4 for partition v at its next step g: records the factor s(v, g)
-    * that scales v's raw outflows `raw(ei, g)` down to its previous
-    * population `pPrev` when they exceed it.
+    * that scales v's raw outflows `w(ei) · on(period(ei))` down to its
+    * previous population `pPrev` when they exceed it.
     */
-  def rectifyOut(v: Int, g: Int, pPrev: Double, raw: (Int, Int) => Double): Unit = {
+  def rectifyOut(v: Int, g: Int, pPrev: Double, w: Array[Double], on: Array[Double]): Unit = {
     val outs = space.outLinkIds(v)
     var sum  = 0.0
     var i    = 0
-    while (i < outs.length) { sum += raw(outs(i), g); i += 1 }
+    while (i < outs.length) { val e = outs(i); sum += w(e) * on(periodOf(e)); i += 1 }
     val s = ModelState.scale(pPrev, sum)
     if (s != 1.0) flowDerivations += outs.length // each outflow is rewritten
     if (g != scaleTops(v) + 1) outOfOrder("scale", v, g)
@@ -249,17 +301,21 @@ final class ModelState(val model: CrowdModel) {
     * s(v, g), each inflow by its source's s(u, g) when u has rectified step g
     * (1 otherwise), each flow scaled before it is added, in link order.
     */
-  def applyEq6(v: Int, g: Int, pPrev: Double, raw: (Int, Int) => Double): Unit = {
+  def applyEq6(v: Int, g: Int, pPrev: Double, w: Array[Double], on: Array[Double]): Unit = {
     if (g != popTops(v) + 1 || g > scaleTops(v)) outOfOrder("population", v, g)
     val outs = space.outLinkIds(v)
     val s    = scales(v)(g)
     var out  = 0.0
     var i    = 0
-    while (i < outs.length) { out += raw(outs(i), g) * s; i += 1 }
+    while (i < outs.length) { val e = outs(i); out += w(e) * on(periodOf(e)) * s; i += 1 }
     val ins = space.inLinkIds(v)
     var in  = 0.0
     i = 0
-    while (i < ins.length) { in += raw(ins(i), g) * scaleOrOne(space.linkFrom(ins(i)), g); i += 1 }
+    while (i < ins.length) {
+      val e = ins(i)
+      in += w(e) * on(periodOf(e)) * scaleOrOne(space.linkFrom(e), g)
+      i += 1
+    }
     val col = ModelState.grown(pops(v), g)
     if (g == 1) col(0) = model.initialPop(v)
     col(g) = ModelState.next(pPrev, out, in)

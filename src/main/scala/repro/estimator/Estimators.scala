@@ -19,26 +19,21 @@ trait PopulationEstimator {
 }
 
 /** Algorithm 1 — PopulationGlobal. Advances the whole model one grid step at
-  * a time: draw every edge's raw flow, rectify each partition's outflows
-  * against its current population (Figure 4), then apply Eq. 6 to every
-  * partition.
-  *
-  * @param flow raw flow of edge `ei` at step `g`: the expected flow (λ at
-  *             report steps, else 0) for the estimator; the gold simulator
-  *             passes its Poisson draws instead. Drawn once per edge and
-  *             step, in link order.
+  * a time: rectify each partition's outflows against its current population
+  * (Figure 4), then apply Eq. 6 to every partition. A step's flows are λ
+  * times the step's report vector; the gold simulator instead passes `draw`,
+  * which fills a row with the step's raw flows (its Poisson draws, in link
+  * order), read against a vector of ones.
   */
-final class GlobalEstimator(val state: ModelState, flow: (Int, Int) => Double) extends PopulationEstimator {
-  def this(state: ModelState) = this(state, state.model.expectedFlow)
+final class GlobalEstimator private[repro] (val state: ModelState, draw: (Int, Array[Double]) => Unit)
+    extends PopulationEstimator {
+  def this(state: ModelState) = this(state, null)
 
   val name                = "global"
   private val space       = model.space
-  private val row         = new Array[Double](space.links.size) // step derivedUpTo's raw flows
-  private val rowFlow     = (ei: Int, _: Int) => row(ei)
+  private val w           = if (draw == null) model.rates else new Array[Double](space.links.size)
+  private val on          = Array.fill(model.numPeriods)(1.0)
   private var derivedUpTo = 0
-
-  /** Grid steps derived so far. */
-  def derivedSteps: Int = derivedUpTo
 
   def populationAt(v: Int, g: Int): Double = {
     if (g <= 0) return model.initialPop(v)
@@ -48,68 +43,176 @@ final class GlobalEstimator(val state: ModelState, flow: (Int, Int) => Double) e
 
   private def ensure(gTarget: Int): Unit =
     while (derivedUpTo < gTarget) {
-      val g  = derivedUpTo + 1
-      var ei = 0
-      while (ei < row.length) { row(ei) = flow(ei, g); ei += 1 }
-      state.flowDerivations += row.length
+      val g = derivedUpTo + 1
+      if (draw == null) model.reportInto(g, on) else draw(g, w)
+      state.flowDerivations += w.length
       var v = 0
-      while (v < space.numPartitions) { state.rectifyOut(v, g, state.pop(v, g - 1), rowFlow); v += 1 }
+      while (v < space.numPartitions) { state.rectifyOut(v, g, state.pop(v, g - 1), w, on); v += 1 }
       v = 0
-      while (v < space.numPartitions) { state.applyEq6(v, g, state.pop(v, g - 1), rowFlow); v += 1 }
+      while (v < space.numPartitions) { state.applyEq6(v, g, state.pop(v, g - 1), w, on); v += 1 }
       derivedUpTo = g
     }
 }
 
 /** Algorithm 2 — PopulationLocal — and its Strategy-PP variant.
   *
-  * Derives a single partition's population forward step by step. At each
-  * step, the partition's own outflows are rectified against its previous
-  * population; inflows are the upstream partitions' rectified outflows,
-  * derived recursively, when `exactUpstream` is true, or the flow functions'
-  * expected flows when false (Strategy PP: "Population Derivation for
-  * Partial Partitions" — the single-line change to Alg. 2's line 20
-  * described in Section 5.2). Under PP an inflow is still scaled when its
+  * Exact (`exactUpstream`): a lookup (v, G) past v's derived steps derives
+  * v's upstream cone with a [[ConeSweep]] — the same set of populations and
+  * scales that Alg. 2's recursion derives, step by step. Strategy PP
+  * ("Population Derivation for Partial Partitions" — the single-line change
+  * to Alg. 2's line 20 described in Section 5.2) derives v alone forward,
+  * taking its inflows as expected flows; an inflow is still scaled when its
   * upstream partition has already derived that step in this query.
   *
   * All intermediate populations and scales are memoized in [[ModelState]],
   * so shared upstream work across lookups is never repeated.
   */
 final class LocalEstimator(val state: ModelState, exactUpstream: Boolean) extends PopulationEstimator {
-  val name             = if (exactUpstream) "local" else "pp"
-  private val space    = model.space
-  private val expected: (Int, Int) => Double = model.expectedFlow
+  val name          = if (exactUpstream) "local" else "pp"
+  private val space = model.space
+  private val on    = new Array[Double](model.numPeriods) // the report vector of the step being derived
+  private val cone  = if (exactUpstream) new ConeSweep(state, on) else null
 
   def populationAt(v: Int, g: Int): Double = {
     if (g <= 0) return model.initialPop(v)
-    while (state.popTop(v) < g) step(v, state.popTop(v) + 1)
+    if (state.popTop(v) < g) {
+      if (exactUpstream) cone.derive(v, g)
+      else while (state.popTop(v) < g) ppStep(v, state.popTop(v) + 1)
+    }
     state.pop(v, g)
   }
 
-  /** Set and rectify v's outflows at step g: one flow write per outflow. */
-  private def rectify(v: Int, g: Int, pPrev: Double): Unit = {
-    state.flowDerivations += space.outLinkIds(v).length
-    state.rectifyOut(v, g, pPrev, expected)
-  }
-
-  private def step(v: Int, g: Int): Unit = {
+  // a flow already set by the partition at its other end is not set again
+  private def ppStep(v: Int, g: Int): Unit = {
+    model.reportInto(g, on)
     val pPrev = state.pop(v, g - 1)
-    val ins   = space.inLinkIds(v)
+    val outs  = space.outLinkIds(v)
     var i     = 0
-    if (exactUpstream) {
-      if (!state.hasScale(v, g)) rectify(v, g, pPrev)
-      while (i < ins.length) {
-        val u = space.linkFrom(ins(i))
-        if (!state.hasScale(u, g)) rectify(u, g, populationAt(u, g - 1)) // recursion into the upstream cone
+    while (i < outs.length) { if (!state.hasPop(space.linkTo(outs(i)), g)) state.flowDerivations += 1; i += 1 }
+    state.rectifyOut(v, g, pPrev, model.rates, on)
+    val ins = space.inLinkIds(v)
+    i = 0
+    while (i < ins.length) { if (!state.hasPop(space.linkFrom(ins(i)), g)) state.flowDerivations += 1; i += 1 }
+    state.applyEq6(v, g, pPrev, model.rates, on)
+  }
+}
+
+/** Exact Alg. 2 as a sweep over the upstream cone of a lookup (v, G).
+  *
+  * Alg. 2's recursion derives, for the root, its populations and scales up
+  * to G; a partition derived up to population step N makes each in-neighbour
+  * u derive its population up to N − 1 and its scale up to N. The recursion
+  * keeps `scaleTop(u) ≥ popTop(x)` and `popTop(u) ≥ popTop(x) − 1` on every
+  * link u → x, so a BFS over in-links that skips u when `scaleTop(u) ≥ N`,
+  * and expands u only when u lacks a population step it needs, collects
+  * exactly the steps the recursion derives: BFS depth k gives the largest
+  * need, N = G − k. The sweep then derives them in step order, every
+  * Figure-4 rectification of step g before any Eq. 6 update of step g, so
+  * tops, values and derivation counts equal the recursion's. Only the root
+  * needs its population as far as its scale; the sweep ends at G anyway, so
+  * every partition is kept until step `needPop + 1`.
+  */
+private final class ConeSweep(state: ModelState, on: Array[Double]) {
+  private val model = state.model
+  private val space = model.space
+  private val n     = space.numPartitions
+
+  private var lookup  = 0
+  private val seen    = new Array[Int](n) // == lookup: in this lookup's cone
+  private val needPop = new Array[Int](n) // and the scale up to needPop + 1
+  private val cone    = new Array[Int](n) // BFS order
+  private val byStart = new Array[Int](n)
+  private val active  = new Array[Int](n)
+  private var buckets = new Array[Int](34)
+
+  def derive(root: Int, gTarget: Int): Unit = {
+    lookup += 1
+    val size = collect(root, gTarget)
+    var g    = sortByStart(size, gTarget)
+    // sweep: partitions join at their first step and leave after their last one
+    var next    = 0
+    var nActive = 0
+    while (g <= gTarget) {
+      while (next < size && state.popTop(byStart(next)) + 1 == g) {
+        active(nActive) = byStart(next)
+        nActive += 1
+        next += 1
+      }
+      model.reportInto(g, on)
+      var i = 0
+      while (i < nActive) {
+        val u = active(i)
+        if (!state.hasScale(u, g)) {
+          state.flowDerivations += space.outLinkIds(u).length // one flow write per outflow
+          state.rectifyOut(u, g, state.pop(u, g - 1), model.rates, on)
+        }
         i += 1
       }
-    } else { // Strategy PP: a flow already set by the partition at its other end is not set again
-      val outs = space.outLinkIds(v)
-      while (i < outs.length) { if (!state.hasPop(space.linkTo(outs(i)), g)) state.flowDerivations += 1; i += 1 }
-      state.rectifyOut(v, g, pPrev, expected)
+      var kept = 0
       i = 0
-      while (i < ins.length) { if (!state.hasPop(space.linkFrom(ins(i)), g)) state.flowDerivations += 1; i += 1 }
+      while (i < nActive) {
+        val u = active(i)
+        if (g <= needPop(u)) {
+          state.applyEq6(u, g, state.pop(u, g - 1), model.rates, on)
+          active(kept) = u
+          kept += 1
+        }
+        i += 1
+      }
+      nActive = kept
+      g += 1
     }
-    state.applyEq6(v, g, pPrev, expected)
+  }
+
+  // counting sort of the cone into `byStart` by first step, popTop + 1; returns the lowest
+  private def sortByStart(size: Int, gTarget: Int): Int = {
+    var gMin = gTarget
+    var i    = 0
+    while (i < size) { gMin = math.min(gMin, state.popTop(cone(i)) + 1); i += 1 }
+    val range = gTarget - gMin + 1
+    if (buckets.length < range + 1) buckets = new Array[Int](2 * range + 1)
+    java.util.Arrays.fill(buckets, 0, range + 1, 0)
+    i = 0
+    while (i < size) { buckets(state.popTop(cone(i)) + 2 - gMin) += 1; i += 1 }
+    i = 1
+    while (i <= range) { buckets(i) += buckets(i - 1); i += 1 }
+    i = 0
+    while (i < size) {
+      val b = state.popTop(cone(i)) + 1 - gMin
+      byStart(buckets(b)) = cone(i)
+      buckets(b) += 1
+      i += 1
+    }
+    gMin
+  }
+
+  // BFS over in-links from the root; returns the cone's size
+  private def collect(root: Int, gTarget: Int): Int = {
+    seen(root) = lookup
+    needPop(root) = gTarget
+    cone(0) = root
+    var size = 1
+    var head = 0
+    while (head < size) {
+      val x  = cone(head)
+      val nx = needPop(x)
+      head += 1
+      if (state.popTop(x) < nx) {
+        val ins = space.inLinkIds(x)
+        var i   = 0
+        while (i < ins.length) {
+          val u = space.linkFrom(ins(i))
+          if (seen(u) != lookup && state.scaleTop(u) < nx) {
+            seen(u) = lookup
+            needPop(u) = nx - 1
+            cone(size) = u
+            size += 1
+          }
+          i += 1
+        }
+      }
+    }
+    size
   }
 }
 

@@ -42,8 +42,8 @@ final case class DoorLink(door: Int, from: Int, to: Int)
 
 /** The static indoor space: partitions, doors, directed door links, and
   * distance overrides (stairway lengths). All of the paper's topology
-  * operators (`D2P⊢`, `D2P⊣`, `P2D⊢`, `P2D⊣`, `d2d`) are derived here and
-  * precomputed into arrays for O(1) lookup during search.
+  * operators (`D2P⊢`, `D2P⊣`, `P2D⊢`, `P2D⊣`) and the intra-partition door
+  * distances are derived here and precomputed for O(1) lookup during search.
   */
 final class IndoorSpace(
     val partitions: IndexedSeq[Partition],
@@ -159,15 +159,6 @@ final class IndoorSpace(
       (di, dj),
       doors(di).pos.dist(doors(dj).pos),
     )
-
-  /** Eq. 1: door-to-door distance — finite iff some partition can be entered
-    * via di and left via dj; then the intra-partition distance applies.
-    */
-  def d2d(di: Int, dj: Int): Double = {
-    val common = enterableThrough(di).intersect(leaveableThrough(dj))
-    if (common.isEmpty) Double.PositiveInfinity
-    else common.iterator.map(v => doorDist(v, di, dj)).min
-  }
 
   /** Distance from an indoor point to a door of its host partition. */
   def pointToDoor(p: Point, d: Int): Double = p.dist(doors(d).pos)

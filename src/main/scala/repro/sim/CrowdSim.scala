@@ -19,19 +19,22 @@ import scala.util.Random
   * a query instance are scored against the same realization.
   */
 final class CrowdSim(val model: CrowdModel, seed: Long, val deterministic: Boolean) {
-  private val rng = new Random(seed)
-  private val flow: (Int, Int) => Double =
-    if (deterministic) model.expectedFlow
-    else (ei, g) => DoorFlow.samplePoisson(model.expectedFlow(ei, g), rng).toDouble // Poisson(0) draws nothing
-  private val truth = new GlobalEstimator(new ModelState(model), flow)
+  private val rng        = new Random(seed)
+  private[sim] val state = new ModelState(model)
+  // stochastic: one Poisson draw per edge and step, in link order (Poisson(0) draws nothing)
+  private val truth =
+    if (deterministic) new GlobalEstimator(state)
+    else
+      new GlobalEstimator(state, (g, row) => {
+        var ei = 0
+        while (ei < row.length) { row(ei) = DoorFlow.samplePoisson(model.expectedFlow(ei, g), rng).toDouble; ei += 1 }
+      })
 
   /** Actual population of partition v over grid interval g. */
   def populationAt(v: Int, g: Int): Double = truth.populationAt(v, g)
 
   /** Snapshot of all actual populations at grid step g. */
   def snapshot(g: Int): IndexedSeq[Double] = (0 until model.space.numPartitions).map(truth.populationAt(_, g))
-
-  def derivedSteps: Int = truth.derivedSteps
 }
 
 /** Estimator facade over the simulator truth — used to compute the gold

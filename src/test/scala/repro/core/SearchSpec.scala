@@ -55,7 +55,7 @@ object PathReplayer {
       space.leaveDoors(space.host(ps)).contains(doorSeq.head) &&
       space.enterDoors(space.host(pt)).contains(doorSeq.last) &&
       doorSeq.sliding(2).forall {
-        case Vector(d1, d2) => space.d2d(d1, d2).isFinite
+        case Vector(d1, d2) => TestModels.d2d(space, d1, d2).isFinite
         case _              => true
       }
     }

@@ -127,13 +127,14 @@ class CrowdModelSpec extends AnyFunSuite {
   test("ModelState instruments derivation counts") {
     val (_, fig) = TestModels.figure4()
     val st       = new ModelState(fig)
-    val raw      = (ei: Int, g: Int) => fig.expectedFlow(ei, g)
+    val on       = new Array[Double](fig.numPeriods)
+    fig.reportInto(1, on)
     assert(st.popDerivations == 0 && st.flowDerivations == 0)
-    st.rectifyOut(0, 1, 3.0, raw) // v1's outflows (4, 2) exceed its 3: both are rewritten
-    st.rectifyOut(1, 1, 7.0, raw) // v2's fit: none is
+    st.rectifyOut(0, 1, 3.0, fig.rates, on) // v1's outflows (4, 2) exceed its 3: both are rewritten
+    st.rectifyOut(1, 1, 7.0, fig.rates, on) // v2's fit: none is
     assert(st.flowDerivations == 2 && st.popDerivations == 0)
     assert(st.hasScale(0, 1) && st.hasScale(1, 1) && !st.hasScale(2, 1))
-    st.applyEq6(0, 1, 3.0, raw) // 3 − (2 + 1) + (2 + 0)
+    st.applyEq6(0, 1, 3.0, fig.rates, on) // 3 − (2 + 1) + (2 + 0)
     assert(st.popDerivations == 1 && st.flowDerivations == 2)
     assert(st.hasPop(0, 1) && !st.hasPop(1, 1) && st.pop(0, 1) == 2.0 && st.pop(0, 0) == 3.0)
   }
@@ -141,13 +142,13 @@ class CrowdModelSpec extends AnyFunSuite {
   test("ModelState columns are written in step order, each scale before its population") {
     val (_, fig) = TestModels.figure4()
     val st       = new ModelState(fig)
-    val raw      = (ei: Int, g: Int) => fig.expectedFlow(ei, g)
-    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, raw))   // no scale at step 1 yet
-    intercept[IllegalStateException](st.rectifyOut(0, 2, 3.0, raw)) // skips step 1
-    intercept[IllegalArgumentException](st.pop(0, 1))                // not derived
-    st.rectifyOut(0, 1, 3.0, raw)
-    st.applyEq6(0, 1, 3.0, raw)
-    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, raw))   // already derived
+    val (w, on)  = (fig.rates, Array.fill(fig.numPeriods)(1.0))
+    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, w, on))   // no scale at step 1 yet
+    intercept[IllegalStateException](st.rectifyOut(0, 2, 3.0, w, on)) // skips step 1
+    intercept[IllegalArgumentException](st.pop(0, 1))                  // not derived
+    st.rectifyOut(0, 1, 3.0, w, on)
+    st.applyEq6(0, 1, 3.0, w, on)
+    intercept[IllegalStateException](st.applyEq6(0, 1, 3.0, w, on))   // already derived
     assert(st.popTop(0) == 1 && st.popDerivations == 1)
   }
 

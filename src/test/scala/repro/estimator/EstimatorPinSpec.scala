@@ -48,6 +48,21 @@ class EstimatorPinSpec extends AnyFunSuite {
     assert(got.toMap == pinned)
   }
 
+  test("population bits are pinned on re-synchronized models (gridOffset 7), both sweep orders") {
+    val pinned = Map(
+      ("mini3", true)    -> Seq(6403885729644024375L, 6403885729644024375L, 542717184773790813L, 7027667419540649549L),
+      ("mini3", false)   -> Seq(-5940646076055515079L, -5940646076055515079L, 4659325051391699007L, -2376707918155518459L),
+      ("office1", true)  -> Seq(9680024073570926L, 9680024073570926L, 6798296071668712480L, 8587121202833410037L),
+      ("office1", false) -> Seq(2770086803687694798L, 2770086803687694798L, 6758215127407953376L, 4258095261808196729L),
+    )
+    val models = Seq("mini3" -> TestModels.miniModel(objScale = 3), "office1" -> office1)
+      .map { case (name, m) => name -> TestModels.resynced(m, gNow = 7) }
+    assert(models.forall(_._2.gridOffset == 7))
+    val got = for ((name, model) <- models; vMajor <- Seq(true, false))
+      yield (name, vMajor) -> estimators(model).map(sweep(_, vMajor))
+    assert(got.toMap == pinned)
+  }
+
   test("LCPQ-pattern lookups (non-monotone, up to step 720) equal an in-order sweep") {
     val model = office1
     val n     = model.space.numPartitions

@@ -2,6 +2,7 @@ package repro.testutil
 
 import repro.crowd.{CrowdModel, EdgeKey}
 import repro.indoor._
+import repro.sim.CrowdSim
 
 /** Shared hand-built fixtures for numeric tests. */
 object TestModels {
@@ -50,6 +51,22 @@ object TestModels {
     )
     (space, model)
   }
+
+  /** Eq. 1: door-to-door distance — finite iff some partition can be entered
+    * via di and left via dj; then the intra-partition distance applies.
+    */
+  def d2d(space: IndoorSpace, di: Int, dj: Int): Double = {
+    val common = space.enterableThrough(di).intersect(space.leaveableThrough(dj))
+    if (common.isEmpty) Double.PositiveInfinity
+    else common.iterator.map(v => space.doorDist(v, di, dj)).min
+  }
+
+  /** `model` re-synchronized to step `gNow` of a stochastic world (seed 7):
+    * its `gridOffset` is gNow, so its report phases are shifted from its
+    * grid origin.
+    */
+  def resynced(model: CrowdModel, gNow: Int): CrowdModel =
+    model.withObservation(new CrowdSim(model, seed = 7, deterministic = false).snapshot(gNow), gNow)
 
   /** Synthetic model over the mini space with adjustable population scale —
     * large scale means rectification never triggers (PP ≡ exact), tiny
